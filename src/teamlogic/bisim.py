@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterable, Union
 
-from .checker import eval_local_atom
+from .checker import Evaluator
 from .model import Assignment, DependenceModel, ModelError, PointedModel
 from .syntax import (
     Anon,
@@ -116,8 +116,10 @@ def atom_truth_table(
     model: DependenceModel, atoms: list[Formula]
 ) -> list[tuple[bool, ...]]:
     """Per team row, the truth vector of the atom family."""
+    ev = Evaluator(model)
+    masks = [ev.mask(a) for a in atoms]
     return [
-        tuple(eval_local_atom(a, model, s) for a in atoms) for s in model.team
+        tuple(bool(m >> i & 1) for m in masks) for i in range(len(model.team))
     ]
 
 

@@ -11,38 +11,20 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .bisim import canonical_atoms, comvar
-from .checker import eval_local_atom
+from .bisim import atom_truth_table, canonical_atoms, comvar
 from .model import Assignment, DependenceModel
 from .syntax import (
-    And,
+    KIND_EQ,
+    Eq,
     Exists,
     Forall,
     Formula,
     FormulaError,
     OmegaProfile,
+    conj,
+    disj,
     negate_atom,
 )
-
-
-def _big_and(parts: list[Formula]) -> Formula:
-    if not parts:
-        raise FormulaError("empty conjunction")
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
-
-
-def _big_or(parts: list[Formula]) -> Formula:
-    from .syntax import Or
-
-    if not parts:
-        raise FormulaError("empty disjunction")
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
 
 
 def _dedup_by_id(parts: list[Formula]) -> list[Formula]:
@@ -76,10 +58,13 @@ def char_formula_all(
 
     atoms = canonical_atoms(ftype, omega)
     if not atoms:
-        raise FormulaError("empty atom family: no rank-0 formulas exist")
-    truth = [
-        [eval_local_atom(a, model, t) for a in atoms] for t in team
-    ]
+        # one variable, no relations and a profile within {=, !=}: all rows
+        # are 0-bisimilar, and x = x is the valid rank-0 formula
+        if KIND_EQ not in omega:
+            raise FormulaError("empty atom family: no rank-0 formulas exist")
+        v = ftype.variables[0]
+        atoms = [Eq(v, v)]
+    truth = atom_truth_table(model, atoms)
     vs = ftype.variables
     subsets = [
         tuple(c) for r in range(len(vs) + 1) for c in combinations(vs, r)
@@ -96,7 +81,7 @@ def char_formula_all(
                 a if truth[i][j] else negate_atom(a, omega)
                 for j, a in enumerate(atoms)
             ]
-            out = _big_and(parts)
+            out = conj(parts)
         else:
             si = team[i]
             back = []
@@ -108,7 +93,7 @@ def char_formula_all(
                         if model.agree(t, si, X)
                     ]
                 )
-                back.append(Forall(X, _big_or(options)))
+                back.append(Forall(X, disj(options)))
             forth = []
             seen: set[tuple[tuple[str, ...], int]] = set()
             for j, t in enumerate(team):
@@ -118,7 +103,7 @@ def char_formula_all(
                     if set(X) <= cv and (X, id(body)) not in seen:
                         seen.add((X, id(body)))
                         forth.append(Exists(X, body))
-            out = _big_and(back + forth)
+            out = conj(back + forth)
         memo[key] = out
         return out
 

@@ -1,15 +1,20 @@
 """Model checking for local team logics.
 
-The quantifier alternation of the model checking game is resolved by
-exhaustive expansion over the finite team; results are memoized on
-(subformula identity, team row).  A fresh memo is used per top-level
-``check`` call, but an :class:`Evaluator` can be kept around to share the
-memo across many queries against the same model.
+A formula is evaluated at every team row at once: each subformula yields a
+row bitset, bit i set iff it holds at team row i.  Dependence quantifiers
+and the dependence and independence atoms read the partition of the team
+by agreement on a variable set, which is the relativisation that
+``fo.standard_translation`` writes out with the team predicate.  An
+:class:`Evaluator` caches both the partitions and the subformula bitsets,
+so it can be kept around to share work across many queries against the
+same model; ``check`` uses a fresh one per call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from .model import Assignment, DependenceModel, ModelError
 from .syntax import (
@@ -36,6 +41,11 @@ from .syntax import (
 
 @dataclass
 class CheckStats:
+    """Work done by an :class:`Evaluator`, counted per formula node:
+    ``atom_evals`` atom nodes evaluated, ``quantifier_expansions``
+    quantifier nodes evaluated, and ``memo_hits`` node lookups answered
+    from the memo."""
+
     atom_evals: int = 0
     quantifier_expansions: int = 0
     memo_hits: int = 0
@@ -47,62 +57,20 @@ class CheckResult:
     stats: CheckStats
 
 
-def eval_local_atom(beta: Formula, model: DependenceModel, s: Assignment) -> bool:
-    """Truth of a single local atom (or literal) at one team assignment."""
-    ftype = model.ftype
-    team = model.team
-    if isinstance(beta, RelLit):
-        held = model.structure.holds(beta.rel, model.values(s, beta.args))
-        return held if beta.positive else not held
-    if isinstance(beta, Eq):
-        return model.value(s, beta.left) == model.value(s, beta.right)
-    if isinstance(beta, Neq):
-        return model.value(s, beta.left) != model.value(s, beta.right)
-    if isinstance(beta, Dep):
-        idx = [ftype.index(x) for x in beta.over]
-        j = ftype.index(beta.target)
-        return all(
-            t[j] == s[j] for t in team if all(t[i] == s[i] for i in idx)
-        )
-    if isinstance(beta, Anon):
-        idx = [ftype.index(x) for x in beta.over]
-        j = ftype.index(beta.target)
-        return any(
-            t[j] != s[j] for t in team if all(t[i] == s[i] for i in idx)
-        )
-    if isinstance(beta, (Incl, Excl)):
-        li = [ftype.index(x) for x in beta.left]
-        ri = [ftype.index(y) for y in beta.right]
-        sx = tuple(s[i] for i in li)
-        member = any(tuple(t[i] for i in ri) == sx for t in team)
-        return member if isinstance(beta, Incl) else not member
-    if isinstance(beta, (Ind, NInd)):
-        li = [ftype.index(x) for x in beta.left]
-        ri = [ftype.index(y) for y in beta.right]
-        sx = tuple(s[i] for i in li)
-        ind = all(
-            any(
-                tuple(u[i] for i in li) == sx
-                and tuple(u[i] for i in ri) == tuple(t[i] for i in ri)
-                for u in team
-            )
-            for t in team
-        )
-        return ind if isinstance(beta, Ind) else not ind
-    raise FormulaError(f"not a local atom: {type(beta).__name__}")
-
-
 class Evaluator:
-    """Memoizing evaluator bound to one model.  Safe to reuse across many
-    formulas: the memo is keyed by subformula identity and row index, so
-    sharing subformula objects shares work."""
+    """Team-at-once evaluator bound to one model.  Safe to reuse across many
+    formulas: row bitsets are memoized by subformula identity, so sharing
+    subformula objects shares work."""
 
     def __init__(self, model: DependenceModel):
         self.model = model
         self.stats = CheckStats()
-        self._memo: dict[tuple[int, int], bool] = {}
-        # memo keys use id(); hold the nodes so ids are never recycled
-        self._pinned: dict[int, Formula] = {}
+        #: the bitset of the whole team
+        self.full = (1 << len(model.team)) - 1
+        # keyed by id(node); the value keeps the node alive so that its id
+        # is not recycled while the entry exists
+        self._memo: dict[int, tuple[Formula, int]] = {}
+        self._partitions: dict[tuple[int, ...], dict[tuple[str, ...], int]] = {}
         self._row_index = {row: i for i, row in enumerate(model.team)}
 
     def truth(self, phi: Formula, s: Assignment) -> bool:
@@ -110,44 +78,116 @@ class Evaluator:
             i = self._row_index[s]
         except KeyError:
             raise ModelError(f"assignment {s} outside team") from None
-        return self._truth_at(phi, i)
+        return bool(self.mask(phi) >> i & 1)
 
     def truth_rows(self, phi: Formula) -> list[bool]:
         """Truth value at every team row, in team order."""
-        return [self._truth_at(phi, i) for i in range(len(self.model.team))]
+        bits = format(self.mask(phi), f"0{len(self.model.team)}b")
+        return [b == "1" for b in reversed(bits)]
 
-    def _truth_at(self, phi: Formula, i: int) -> bool:
-        key = (id(phi), i)
-        memo = self._memo
-        if key in memo:
+    def blocks(self, xs: Iterable[str]) -> dict[tuple[str, ...], int]:
+        """The partition of the team by agreement on the variable set
+        ``xs``: the values on ``xs``, in the type's variable order, mapped
+        to the bitset of the rows carrying them."""
+        return self._partition(self._cols(xs))
+
+    def _cols(self, xs: Iterable[str]) -> tuple[int, ...]:
+        index = self.model.ftype.index
+        return tuple(sorted({index(x) for x in xs}))
+
+    def _partition(self, cols: tuple[int, ...]) -> dict[tuple[str, ...], int]:
+        got = self._partitions.get(cols)
+        if got is None:
+            got = {}
+            for i, row in enumerate(self.model.team):
+                key = tuple(row[c] for c in cols)
+                got[key] = got.get(key, 0) | 1 << i
+            self._partitions[cols] = got
+        return got
+
+    def _rows(self, pred: Callable[[Assignment], bool]) -> int:
+        """The bitset of the rows satisfying a per-row predicate."""
+        return sum(1 << i for i, row in enumerate(self.model.team) if pred(row))
+
+    def mask(self, phi: Formula) -> int:
+        """The bitset of the team rows at which ``phi`` holds."""
+        hit = self._memo.get(id(phi))
+        if hit is not None:
             self.stats.memo_hits += 1
-            return memo[key]
-        self._pinned[id(phi)] = phi
-        team = self.model.team
-        if isinstance(phi, ATOM_TYPES):
-            self.stats.atom_evals += 1
-            value = eval_local_atom(phi, self.model, team[i])
-        elif isinstance(phi, And):
-            value = self._truth_at(phi.left, i) and self._truth_at(phi.right, i)
+            return hit[1]
+        if isinstance(phi, And):
+            m = self.mask(phi.left)
+            if m:
+                m &= self.mask(phi.right)
         elif isinstance(phi, Or):
-            value = self._truth_at(phi.left, i) or self._truth_at(phi.right, i)
-        elif isinstance(phi, (Forall, Exists)):
+            m = self.mask(phi.left)
+            if m != self.full:
+                m |= self.mask(phi.right)
+        elif isinstance(phi, (Exists, Forall)):
             self.stats.quantifier_expansions += 1
-            idx = [self.model.ftype.index(x) for x in phi.fixed]
-            s = team[i]
-            want = isinstance(phi, Exists)
-            value = not want
-            for j, t in enumerate(team):
-                if all(t[k] == s[k] for k in idx):
-                    if self._truth_at(phi.body, j) == want:
-                        value = want
-                        break
+            body = self.mask(phi.body)
+            blocks = self.blocks(phi.fixed).values()
+            if isinstance(phi, Exists):
+                m = sum(b for b in blocks if b & body)
+            else:
+                m = sum(b for b in blocks if b & body == b)
+        elif isinstance(phi, ATOM_TYPES):
+            self.stats.atom_evals += 1
+            m = self._atom(phi)
+            if isinstance(phi, (Neq, Anon, Excl, NInd)):
+                m ^= self.full
         elif isinstance(phi, Not):
             raise FormulaError("checker requires a Not-free formula")
         else:
             raise FormulaError(f"unknown formula node {type(phi).__name__}")
-        memo[key] = value
-        return value
+        self._memo[id(phi)] = (phi, m)
+        return m
+
+    def _atom(self, beta: Formula) -> int:
+        """The bitset of a relational literal or a local atom, except that
+        Y, !=, notin and nInd get the bitset of their duals D, =, in and
+        Ind, which :meth:`mask` complements."""
+        index = self.model.ftype.index
+        if isinstance(beta, RelLit):
+            holds = self.model.structure.holds
+            idx = [index(x) for x in beta.args]
+            return self._rows(
+                lambda row: holds(beta.rel, tuple(row[i] for i in idx))
+                == beta.positive
+            )
+        if isinstance(beta, (Eq, Neq)):
+            a, b = index(beta.left), index(beta.right)
+            return self._rows(lambda row: row[a] == row[b])
+        if isinstance(beta, (Dep, Anon)):
+            # an X-block is constant on y iff it is also an (X + y)-block
+            finer = set(self.blocks(beta.over + (beta.target,)).values())
+            return sum(b for b in self.blocks(beta.over).values() if b in finer)
+        if isinstance(beta, (Incl, Excl)):
+            li = [index(x) for x in beta.left]
+            ri = [index(y) for y in beta.right]
+            values = {tuple(row[i] for i in ri) for row in self.model.team}
+            return self._rows(lambda row: tuple(row[i] for i in li) in values)
+        # Ind / NInd: an l-block must realise every r-value of the team
+        lc, rc = self._cols(beta.left), self._cols(beta.right)
+        pairs = {
+            (tuple(row[c] for c in lc), tuple(row[c] for c in rc))
+            for row in self.model.team
+        }
+        per_left = Counter(key for key, _ in pairs)
+        want = len(self._partition(rc))
+        left = self._partition(lc)
+        return sum(b for key, b in left.items() if per_left[key] == want)
+
+
+def _local_atom(beta: Formula) -> Formula:
+    if not isinstance(beta, ATOM_TYPES):
+        raise FormulaError(f"not a local atom: {type(beta).__name__}")
+    return beta
+
+
+def eval_local_atom(beta: Formula, model: DependenceModel, s: Assignment) -> bool:
+    """Truth of a single local atom (or literal) at one team row."""
+    return Evaluator(model).truth(_local_atom(beta), s)
 
 
 def check(phi: Formula, model: DependenceModel, s: Assignment) -> CheckResult:
@@ -161,71 +201,14 @@ def check(phi: Formula, model: DependenceModel, s: Assignment) -> CheckResult:
 
 def extension(beta: Formula, model: DependenceModel) -> tuple[Assignment, ...]:
     """The team assignments at which a local atom holds, in team order."""
-    return tuple(s for s in model.team if eval_local_atom(beta, model, s))
+    m = Evaluator(model).mask(_local_atom(beta))
+    return tuple(s for i, s in enumerate(model.team) if m >> i & 1)
 
 
 def check_global_atom(beta: Formula, model: DependenceModel) -> bool:
-    """Truth of the global (team-level) variant of a local atom.
-
-    Evaluates the direct team-quantifier definition and cross-checks it
-    against the universal closure of the local atom; a mismatch would be an
-    implementation bug.
-    """
-    ftype = model.ftype
-    team = model.team
-
-    if isinstance(beta, Dep):
-        li = [ftype.index(x) for x in beta.over]
-        j = ftype.index(beta.target)
-        direct = all(
-            s[j] == t[j]
-            for s in team
-            for t in team
-            if all(s[i] == t[i] for i in li)
-        )
-    elif isinstance(beta, Anon):
-        li = [ftype.index(x) for x in beta.over]
-        j = ftype.index(beta.target)
-        direct = all(
-            any(
-                all(s[i] == t[i] for i in li) and s[j] != t[j] for t in team
-            )
-            for s in team
-        )
-    elif isinstance(beta, Incl):
-        li = [ftype.index(x) for x in beta.left]
-        ri = [ftype.index(y) for y in beta.right]
-        direct = all(
-            any(tuple(s[i] for i in li) == tuple(t[i] for i in ri) for t in team)
-            for s in team
-        )
-    elif isinstance(beta, Excl):
-        li = [ftype.index(x) for x in beta.left]
-        ri = [ftype.index(y) for y in beta.right]
-        direct = all(
-            tuple(s[i] for i in li) != tuple(t[i] for i in ri)
-            for s in team
-            for t in team
-        )
-    elif isinstance(beta, Ind):
-        li = [ftype.index(x) for x in beta.left]
-        ri = [ftype.index(y) for y in beta.right]
-        direct = all(
-            any(
-                tuple(u[i] for i in li) == tuple(s[i] for i in li)
-                and tuple(u[i] for i in ri) == tuple(t[i] for i in ri)
-                for u in team
-            )
-            for s in team
-            for t in team
-        )
-    else:
-        raise FormulaError(
-            f"no global variant for {type(beta).__name__}"
-        )
-
-    # the global atom must coincide with the universal closure of its
-    # local variant; a mismatch signals a checker bug
-    closed = check(Forall((), beta), model, team[0]).value
-    assert direct == closed, "global atom disagrees with universal closure"
-    return direct
+    """Truth of the global (team-level) variant of a local atom, defined as
+    the universal closure ``A[] beta``: the local atom holds at every row."""
+    if not isinstance(beta, (Dep, Anon, Incl, Excl, Ind)):
+        raise FormulaError(f"no global variant for {type(beta).__name__}")
+    ev = Evaluator(model)
+    return ev.mask(beta) == ev.full

@@ -55,8 +55,11 @@ def _emit(text: str, out_path: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as e:
+            raise CliError(str(e)) from None
 
 
 def _parse_omega(spec: str | None) -> OmegaProfile | None:
@@ -77,9 +80,19 @@ def _parse_at(spec: str) -> tuple[str, ...]:
 
 
 def _load_dm(path: str) -> DependenceModel:
-    model = load_model(_read(path))
-    assert isinstance(model, DependenceModel)
-    return model
+    return load_model(_read(path))
+
+
+def _depth(spec: str) -> int:
+    """A nonnegative stage count, for argparse."""
+    if not spec.isdecimal():
+        raise argparse.ArgumentTypeError(f"not a nonnegative integer: {spec!r}")
+    return int(spec)
+
+
+def _depth_or_fix(spec: str) -> int | None:
+    """A nonnegative stage count, or None for 'fix', for argparse."""
+    return None if spec == "fix" else _depth(spec)
 
 
 def cmd_check(args) -> int:
@@ -143,11 +156,13 @@ def cmd_bisim(args) -> int:
         raise CliError("bisim requires --omega")
     at_left = _parse_at(args.at_left)
     at_right = _parse_at(args.at_right)
-    depth = None if args.depth == "fix" else int(args.depth)
     from .model import PointedModel
 
     result = bisim_mod.bisimilarity(
-        PointedModel(left, at_left), PointedModel(right, at_right), omega, depth
+        PointedModel(left, at_left),
+        PointedModel(right, at_right),
+        omega,
+        args.depth,
     )
     rel = result.relation
     stage = f"stage {rel.stage}" + (" fixpoint" if rel.fixpoint else "")
@@ -168,7 +183,7 @@ def cmd_charform(args) -> int:
     if omega is None:
         raise CliError("charform requires --omega")
     at = _parse_at(args.at)
-    k = int(args.depth)
+    k = args.depth
     if k > 4 and not args.force:
         raise CliError("depth above 4 needs --force (formula size explodes)")
     chi = char_formula(model, at, k, omega)
@@ -239,7 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--right", required=True)
     p.add_argument("--at-left", required=True)
     p.add_argument("--at-right", required=True)
-    p.add_argument("--depth", default="fix", help="stage count or 'fix'")
+    p.add_argument(
+        "--depth", type=_depth_or_fix, default="fix", help="stage count or 'fix'"
+    )
     p.add_argument("--omega", required=True, help="comma-separated atom kinds")
     p.add_argument("--witness", action="store_true")
     p.add_argument("--out")
@@ -248,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("charform", help="characteristic formula of a point")
     p.add_argument("--model", required=True)
     p.add_argument("--at", required=True)
-    p.add_argument("--depth", required=True)
+    p.add_argument("--depth", type=_depth, required=True)
     p.add_argument("--omega", required=True)
     p.add_argument("--force", action="store_true")
     p.add_argument("--out")

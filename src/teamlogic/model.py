@@ -153,7 +153,11 @@ def load_model(text: str, require_team: bool = True) -> DependenceModel | tuple:
         elif head == "rel":
             if len(toks) != 3:
                 raise ModelError(f"bad rel header {lines[i]!r}")
-            name, arity = toks[1], int(toks[2])
+            name = toks[1]
+            try:
+                arity = int(toks[2])
+            except ValueError:
+                raise ModelError(f"bad arity in {lines[i]!r}") from None
             relations.append((name, arity))
             rows, i = block_rows(i + 1, arity, f"rel {name}")
             interps[name] = frozenset(rows)

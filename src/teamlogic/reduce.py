@@ -34,6 +34,7 @@ from .syntax import (
     Neq,
     Or,
     RelLit,
+    conj,
     parse_formula,
     to_nnf,
     validate,
@@ -146,13 +147,6 @@ def parse_kahr(text: str) -> KahrSentence:
     return KahrSentence(binary, monadics, to_nnf(raw))
 
 
-def _conj(parts: list[Formula]) -> Formula:
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
-
-
 def reduce_to_inclusion(psi: KahrSentence) -> Formula:
     """The encoding using one dependence atom and six inclusion atoms."""
     parts: list[Formula] = [
@@ -160,7 +154,7 @@ def reduce_to_inclusion(psi: KahrSentence) -> Formula:
         Forall((), Dep(("x",), "y")),
     ]
     parts.extend(Forall((), Incl(l, r)) for l, r in _INCL_RULES)
-    out = _conj(parts)
+    out = conj(parts)
     validate(out, psi.reduction_type())
     return out
 
@@ -174,7 +168,7 @@ def reduce_to_equality(psi: KahrSentence) -> Formula:
     parts.extend(
         Forall((), Exists(guard, Eq(a, b))) for guard, a, b in _EQ_RULES
     )
-    out = _conj(parts)
+    out = conj(parts)
     validate(out, psi.reduction_type())
     return out
 

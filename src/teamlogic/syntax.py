@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from functools import reduce
+from typing import Iterable, Sequence, Union
 
 
 class FormulaError(Exception):
@@ -174,6 +175,20 @@ class Not(Formula):
     """Negation sugar, eliminated by :func:`to_nnf`."""
 
     body: Formula
+
+
+def conj(parts: Sequence[Formula]) -> Formula:
+    """The left-nested conjunction ``(p0 & p1) & ...`` of a nonempty list."""
+    if not parts:
+        raise FormulaError("empty conjunction")
+    return reduce(And, parts)
+
+
+def disj(parts: Sequence[Formula]) -> Formula:
+    """The left-nested disjunction ``(p0 | p1) | ...`` of a nonempty list."""
+    if not parts:
+        raise FormulaError("empty disjunction")
+    return reduce(Or, parts)
 
 
 LocalAtom = Union[RelLit, Eq, Neq, Dep, Anon, Incl, Excl, Ind, NInd]

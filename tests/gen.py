@@ -225,7 +225,7 @@ def random_atom(
     rng: random.Random, ftype: FiniteType, omega: OmegaProfile
 ) -> Formula:
     vs = ftype.variables
-    options: list[str] = [k for k in omega.kinds]
+    options: list[str] = sorted(omega.kinds)
     if ftype.relations:
         options.extend(["rel", "rel"])
     kind = rng.choice(options)

@@ -20,7 +20,16 @@ from teamlogic import (
     quantifier_rank,
     refine_step,
 )
-from teamlogic.syntax import LFD, LFD_EQ, Anon, Dep, KIND_D, RelLit
+from teamlogic.syntax import (
+    LFD,
+    LFD_EQ,
+    Anon,
+    Dep,
+    KIND_D,
+    KIND_EQ,
+    KIND_NEQ,
+    RelLit,
+)
 
 
 def _stage_relation(left, right, omega, k):
@@ -130,3 +139,22 @@ def test_atoms_restricted_to_profile():
     # every conjunct of chi^0 evaluates like a canonical atom at the point
     for a in atoms:
         assert eval_local_atom(a, model, model.team[0]) in (True, False)
+
+
+def test_single_variable_equality_profile():
+    """One variable, no relations and the profile {=, !=}: the canonical
+    atom family is empty and x = x serves as the rank-0 formula."""
+    ftype = FiniteType((), ("x",))
+    model = DependenceModel(
+        ftype, Structure(("0", "1", "2"), {}), (("0",), ("1",), ("2",))
+    )
+    omega = OmegaProfile.of(KIND_EQ, KIND_NEQ)
+    ev = Evaluator(model)
+    assert all(all(ev.truth_rows(chi)) for chi in char_formula_all(model, 0, omega))
+    for k in range(3):
+        Z = _stage_relation(model, model, omega, k)
+        chis = char_formula_all(model, k, omega)
+        for i in range(len(model.team)):
+            assert ev.truth_rows(chis[i]) == [
+                (i, j) in Z.pairs for j in range(len(model.team))
+            ]

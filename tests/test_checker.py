@@ -25,12 +25,16 @@ from teamlogic import (
     Structure,
     check,
     check_global_atom,
+    eval_fo,
     eval_local_atom,
+    expand,
     extension,
     free_vars,
     parse_formula,
+    standard_translation,
     to_nnf,
 )
+from teamlogic.syntax import KIND_D, KIND_IN, KIND_IND, KIND_NOTIN, KIND_Y
 
 
 def _check_text(text, model, s):
@@ -160,6 +164,28 @@ def test_global_independence_full_vs_diagonal():
     )
     assert check_global_atom(Ind(("x",), ("y",)), full) is True
     assert check_global_atom(Ind(("x",), ("y",)), diag) is False
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 10**9))
+def test_global_atoms_and_extension_match_oracle(seed):
+    """check_global_atom is the oracle at every row, and extension is the
+    set of rows where the oracle holds, for the five global kinds; the
+    oracle is eval_fo over the standard translation."""
+    rng = random.Random(seed)
+    model = gen.random_model(rng, with_relations=False)
+    kind = rng.choice((KIND_D, KIND_Y, KIND_IN, KIND_NOTIN, KIND_IND))
+    beta = gen.random_atom(rng, model.ftype, OmegaProfile.of(kind))
+    psi = standard_translation(beta, model.ftype)
+    structure = expand(model)
+    oracle = [
+        eval_fo(psi, structure, dict(zip(model.ftype.variables, row)))
+        for row in model.team
+    ]
+    assert check_global_atom(beta, model) == all(oracle)
+    assert extension(beta, model) == tuple(
+        row for row, held in zip(model.team, oracle) if held
+    )
 
 
 @settings(max_examples=100, deadline=None)

@@ -194,3 +194,33 @@ def test_out_flag_writes_file(dm_path, tmp_path, capsys):
 def test_missing_file_is_exit_2(tmp_path):
     assert main(["check", "--model", str(tmp_path / "nope.dm"),
                  "--formula", "D[y] x", "--at", "0 0 0"]) == 2
+
+
+BAD_INPUTS = {
+    "rel-arity-word": ["check", "--model", "{bad}", "--formula", "x = x",
+                       "--at", "0"],
+    "charform-depth-word": ["charform", "--model", "{dm}", "--at", "0 0 0",
+                            "--depth", "two", "--omega", "D,Y"],
+    "bisim-depth-word": ["bisim", "--left", "{dm}", "--right", "{dm}",
+                         "--at-left", "0 0 0", "--at-right", "0 0 0",
+                         "--depth", "two", "--omega", "D,Y"],
+    "bisim-depth-negative": ["bisim", "--left", "{dm}", "--right", "{dm}",
+                             "--at-left", "0 0 0", "--at-right", "0 0 0",
+                             "--depth", "-3", "--omega", "D,Y"],
+    "out-missing-dir": ["check", "--model", "{dm}", "--formula", "D[y] x",
+                        "--at", "1 1 0", "--out", "{missing}"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_2(argv, dm_path, tmp_path, capsys):
+    bad = tmp_path / "bad.dm"
+    bad.write_text("universe 0\nvars x\nrel R two\n0\nend\nteam\n0\nend\n")
+    paths = {"dm": dm_path, "bad": str(bad),
+             "missing": str(tmp_path / "nowhere" / "report.txt")}
+    try:
+        rc = main([a.format(**paths) for a in argv])
+    except SystemExit as e:  # argparse rejects a bad flag value this way
+        rc = e.code
+    assert rc == 2
+    assert "Traceback" not in capsys.readouterr().err
