@@ -313,6 +313,13 @@ def main(argv: list[str] | None = None) -> int:
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
+        return 2
+    except Exception as e:
+        # last resort: the exit-code contract holds for defects too
+        print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

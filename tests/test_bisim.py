@@ -22,7 +22,7 @@ from teamlogic import (
     quantifier_rank,
     refine_step,
 )
-from teamlogic.bisim import BisimRelation
+from teamlogic.bisim import BisimRelation, atom_truth_table
 from teamlogic.syntax import LFD, LFD_EQ, Incl
 
 
@@ -151,27 +151,173 @@ def test_failure_witness_replay():
     )
 
 
-def test_backforth_failure_witness():
-    # left team is constant in x, right is not: Y[]x disagrees at stage 0,
-    # so force a back/forth case instead via equal atoms but unequal shape
+def _naive_stages(left, right, omega):
+    """The stage relations from atom agreement up to the first repeated
+    one, by :func:`gen.naive_refine`."""
+    stages = [atom_agreement(left, right, omega).pairs]
+    while True:
+        nxt = naive_refine(BisimRelation(stages[-1], len(stages) - 1), left, right)
+        if nxt == stages[-1]:
+            return stages
+        stages.append(nxt)
+
+
+def _random_pair(rng):
+    """Independent random models of one type, or two subteams of one
+    model, which differ in fewer rows and so fail later than stage 0."""
+    base = gen.random_model(rng, max_team=6)
+    if rng.random() < 0.5:
+        right = gen.random_model_of_type(rng, base.ftype, max_team=6)
+        return base, right, gen.random_omega(rng)
+    left, right = (
+        DependenceModel(
+            base.ftype,
+            base.structure,
+            tuple(rng.sample(base.team, rng.randint(1, len(base.team)))),
+        )
+        for _ in range(2)
+    )
+    return left, right, gen.random_omega(rng)
+
+
+def _assert_replays(w, left, right, Z):
+    """The witness holds against the relation Z: its atom disagrees at the
+    pair, or its challenger row agrees with the pair's row on exactly the
+    stated variables and has no partner in Z that agrees with the pair's
+    other row on them."""
+    (i, j), lt, rt, ftype = w.pair, left.team, right.team, left.ftype
+    if w.kind == "atom":
+        assert eval_local_atom(w.detail, left, lt[i]) != (
+            eval_local_atom(w.detail, right, rt[j])
+        )
+        return
+    row, X = w.detail
+    if w.kind == "forth":
+        assert X == comvar(lt[row], lt[i], ftype)
+        assert not any(
+            (row, b) in Z and right.agree(rt[b], rt[j], X) for b in range(len(rt))
+        )
+    else:
+        assert w.kind == "back" and X == comvar(rt[row], rt[j], ftype)
+        assert not any(
+            (a, row) in Z and left.agree(lt[a], lt[i], X) for a in range(len(lt))
+        )
+
+
+def test_failure_witnesses_replay():
+    rng = random.Random(4242)
+    seen = {"atom": 0, "forth": 0, "back": 0}
+    for _ in range(60):
+        left, right, omega = _random_pair(rng)
+        stages = _naive_stages(left, right, omega)
+        for i, s in enumerate(left.team):
+            for j, sp in enumerate(right.team):
+                res = bisimilarity(
+                    PointedModel(left, s), PointedModel(right, sp), omega
+                )
+                if res.related:
+                    continue
+                w = res.witness
+                seen[w.kind] += 1
+                assert w.pair == (i, j)
+                # the witness is for the stage at which the pair splits
+                assert (w.kind == "atom") == (w.stage == 0)
+                assert (i, j) not in stages[w.stage]
+                prev = stages[w.stage - 1] if w.stage else None
+                assert prev is None or (i, j) in prev
+                _assert_replays(w, left, right, prev)
+    assert seen["forth"] and seen["back"]
+
+
+def _naive_chain(left, right, omega, depth):
+    """The relation ``bisimilarity`` should end on: stage 0 from the atom
+    truth tables, then :func:`gen.naive_refine` until ``depth`` rounds or
+    until a round keeps the relation."""
+    atoms = canonical_atoms(left.ftype, omega)
+    lt, rt = atom_truth_table(left, atoms), atom_truth_table(right, atoms)
+    Z = BisimRelation(
+        frozenset(
+            (i, j)
+            for i, lv in enumerate(lt)
+            for j, rv in enumerate(rt)
+            if lv == rv
+        ),
+        0,
+    )
+    while depth is None or Z.stage < depth:
+        nxt = naive_refine(Z, left, right)
+        if nxt == Z.pairs:
+            return BisimRelation(Z.pairs, Z.stage, fixpoint=True)
+        Z = BisimRelation(nxt, Z.stage + 1)
+    return Z
+
+
+def _naive_class_count(left, right, omega, k):
+    """The number of stage-k bisimilarity classes over the rows of both
+    teams, from the naive stage-k relations within and across the teams."""
+    ll = _naive_chain(left, left, omega, k).pairs
+    rr = _naive_chain(right, right, omega, k).pairs
+    lr = _naive_chain(left, right, omega, k).pairs
+    nl, nr = len(left.team), len(right.team)
+    sets = {
+        frozenset({("l", b) for b in range(nl) if (a, b) in ll}
+                  | {("r", j) for j in range(nr) if (a, j) in lr})
+        for a in range(nl)
+    } | {
+        frozenset({("l", i) for i in range(nl) if (i, b) in lr}
+                  | {("r", j) for j in range(nr) if (b, j) in rr})
+        for b in range(nr)
+    }
+    return len(sets)
+
+
+def _assert_matches_naive_chain(left, right, omega, i=0, j=0):
+    pl, pr = PointedModel(left, left.team[i]), PointedModel(right, right.team[j])
+    for depth in (0, 1, 2, None):
+        res = bisimilarity(pl, pr, omega, depth)
+        assert res.relation == _naive_chain(left, right, omega, depth)
+        assert res.related == ((i, j) in res.relation.pairs)
+        assert len(res.class_counts) == res.relation.stage + 1
+    assert list(res.class_counts) == [
+        _naive_class_count(left, right, omega, k)
+        for k in range(res.relation.stage + 1)
+    ]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 10**9))
+def test_bisimilarity_matches_naive_chain(seed):
+    rng = random.Random(seed)
+    left, right, omega = _random_pair(rng)
+    i, j = rng.randrange(len(left.team)), rng.randrange(len(right.team))
+    _assert_matches_naive_chain(left, right, omega, i, j)
+
+
+def test_fixpoint_when_only_classes_within_a_team_split():
+    # no right row is 0-bisimilar to a left row, so the relation is stable
+    # (and empty) from stage 0 while left rows keep splitting
     ftype = FiniteType((), ("x", "y"))
     left = DependenceModel(
         ftype,
         Structure(("0", "1", "2"), {}),
-        (("0", "0"), ("1", "1"), ("2", "0")),
+        (("2", "2"), ("0", "0"), ("2", "0"), ("1", "0"), ("0", "1"), ("2", "1")),
     )
-    right = DependenceModel(
-        ftype,
-        Structure(("0", "1", "2"), {}),
-        (("0", "0"), ("1", "1"), ("1", "2")),
-    )
+    right = DependenceModel(ftype, Structure(("0",), {}), (("0", "0"),))
+    _assert_matches_naive_chain(left, right, LFD_EQ)
     res = bisimilarity(
-        PointedModel(left, ("0", "0")), PointedModel(right, ("0", "0")), LFD
+        PointedModel(left, left.team[0]), PointedModel(right, right.team[0]), LFD_EQ
     )
-    if not res.related:
-        w = res.witness
-        assert w is not None
-        assert w.kind in ("atom", "forth", "back")
+    assert res.relation.fixpoint and res.relation.stage == 0
+    Z = atom_agreement(left, right, LFD_EQ)
+    nxt = refine_step(Z, left, right)
+    assert nxt.pairs == Z.pairs == frozenset()
+    assert len(set(nxt.classes)) > len(set(Z.classes)) == res.class_counts[0]
+
+
+def test_refine_step_needs_refinement_classes():
+    left, right, stated = gen.ex_inc()
+    with pytest.raises(ModelError):
+        refine_step(BisimRelation(frozenset(stated), 0), left, right)
 
 
 def test_check_is_bisimulation_empty_and_bad_pairs():
@@ -256,3 +402,34 @@ def test_depth_limited_bisimilarity():
         depth=0,
     )
     assert res0.related and res0.relation.stage == 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 10**9))
+def test_check_is_bisimulation_matches_naive_refine(seed):
+    rng = random.Random(seed)
+    left, right, omega = _random_pair(rng)
+    stages = _naive_stages(left, right, omega)
+    fixed = sorted(stages[-1])
+    roll = rng.random()
+    if roll < 0.3:
+        Z = set(fixed)
+    elif roll < 0.55 and fixed:
+        Z = set(fixed) - {rng.choice(fixed)}
+    elif roll < 0.8:
+        Z = {p for p in stages[0] if rng.random() < 0.6}
+    else:
+        Z = {
+            (i, j)
+            for i in range(len(left.team))
+            for j in range(len(right.team))
+            if rng.random() < 0.3
+        }
+    ok, w = check_is_bisimulation(Z, left, right, omega)
+    R = BisimRelation(frozenset(Z), 0)
+    assert ok == (Z <= stages[0] and naive_refine(R, left, right) == R.pairs)
+    if ok:
+        assert w is None
+        return
+    assert w.pair in Z
+    _assert_replays(w, left, right, Z)

@@ -209,6 +209,9 @@ BAD_INPUTS = {
                              "--depth", "-3", "--omega", "D,Y"],
     "out-missing-dir": ["check", "--model", "{dm}", "--formula", "D[y] x",
                         "--at", "1 1 0", "--out", "{missing}"],
+    "formula-3000-conjuncts": ["check", "--model", "{dm}",
+                               "--formula", " & ".join(["D[y] x"] * 3000),
+                               "--at", "1 1 0"],
 }
 
 
@@ -224,3 +227,15 @@ def test_bad_input_exits_2(argv, dm_path, tmp_path, capsys):
         rc = e.code
     assert rc == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_unexpected_exception_exits_2(dm_path, monkeypatch, capsys):
+    from teamlogic import cli
+
+    def boom(args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "cmd_vd", boom)
+    assert main(["vd", "--model", dm_path]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: internal: KeyError: 'lost'\n"
