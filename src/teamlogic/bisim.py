@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Iterable, Union
 
 from .checker import Evaluator
@@ -86,10 +86,8 @@ def canonical_atoms(ftype: FiniteType, omega: OmegaProfile) -> list[Formula]:
     atoms for variable pairs, and tuple atoms over repetition-free tuples."""
     vs = ftype.variables
     atoms: list[Formula] = []
-    from itertools import product as iproduct
-
     for rel, ar in ftype.relations:
-        for args in iproduct(vs, repeat=ar):
+        for args in product(vs, repeat=ar):
             atoms.append(RelLit(True, rel, args))
     subsets = [
         tuple(c)

@@ -1,20 +1,20 @@
 """Model checking for local team logics.
 
 A formula is evaluated at every team row at once: each subformula yields a
-row bitset, bit i set iff it holds at team row i.  Dependence quantifiers
-and the dependence and independence atoms read the partition of the team
-by agreement on a variable set, which is the relativisation that
-``fo.standard_translation`` writes out with the team predicate.  An
-:class:`Evaluator` caches both the partitions and the subformula bitsets,
-so it can be kept around to share work across many queries against the
-same model; ``check`` uses a fresh one per call.
+row bitset, bit i set iff it holds at team row i.  Quantifier blocks are
+the team's partition by agreement on a variable set, the relativisation
+``fo.standard_translation`` writes with the team predicate.  An atom sees
+a row only through its projections, so it is decided once per distinct
+projected value, over cached partitions by ordered column tuples.  An
+:class:`Evaluator` caches partitions, atom and subformula bitsets to share
+work across queries on one model; ``check`` uses a fresh one per call.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .model import Assignment, DependenceModel, ModelError
 from .syntax import (
@@ -41,14 +41,15 @@ from .syntax import (
 
 @dataclass
 class CheckStats:
-    """Work done by an :class:`Evaluator`, counted per formula node:
-    ``atom_evals`` atom nodes evaluated, ``quantifier_expansions``
-    quantifier nodes evaluated, and ``memo_hits`` node lookups answered
-    from the memo."""
+    """Work done by an :class:`Evaluator`: ``atom_evals`` atom nodes and
+    ``quantifier_expansions`` quantifier nodes evaluated, ``memo_hits``
+    node lookups answered from the memo, and ``partitions`` distinct
+    column tuples the team was partitioned on."""
 
     atom_evals: int = 0
     quantifier_expansions: int = 0
     memo_hits: int = 0
+    partitions: int = 0
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,8 @@ class CheckResult:
 
 class Evaluator:
     """Team-at-once evaluator bound to one model.  Safe to reuse across many
-    formulas: row bitsets are memoized by subformula identity, so sharing
-    subformula objects shares work."""
+    formulas: row bitsets are memoized by subformula identity, and atom
+    bitsets also by the atom itself, so shared or repeated parts share work."""
 
     def __init__(self, model: DependenceModel):
         self.model = model
@@ -70,6 +71,9 @@ class Evaluator:
         # keyed by id(node); the value keeps the node alive so that its id
         # is not recycled while the entry exists
         self._memo: dict[int, tuple[Formula, int]] = {}
+        self._atoms: dict[Formula, int] = {}
+        self._columns = list(zip(*model.team))
+        self._sorted_cols: dict[tuple[str, ...], tuple[int, ...]] = {}
         self._partitions: dict[tuple[int, ...], dict[tuple[str, ...], int]] = {}
         self._row_index = {row: i for i, row in enumerate(model.team)}
 
@@ -89,25 +93,25 @@ class Evaluator:
         """The partition of the team by agreement on the variable set
         ``xs``: the values on ``xs``, in the type's variable order, mapped
         to the bitset of the rows carrying them."""
-        return self._partition(self._cols(xs))
+        return self._partition(self._cols(tuple(xs)))
 
-    def _cols(self, xs: Iterable[str]) -> tuple[int, ...]:
-        index = self.model.ftype.index
-        return tuple(sorted({index(x) for x in xs}))
+    def _cols(self, xs: tuple[str, ...]) -> tuple[int, ...]:
+        cols = self._sorted_cols.get(xs)
+        if cols is None:
+            index = self.model.ftype.index
+            cols = self._sorted_cols[xs] = tuple(sorted({index(x) for x in xs}))
+        return cols
 
     def _partition(self, cols: tuple[int, ...]) -> dict[tuple[str, ...], int]:
+        """The bitset of the rows with each value tuple on ``cols``, an
+        ordered column tuple that may repeat a column."""
         got = self._partitions.get(cols)
         if got is None:
-            got = {}
-            for i, row in enumerate(self.model.team):
-                key = tuple(row[c] for c in cols)
+            self.stats.partitions += 1
+            got = self._partitions[cols] = {} if cols else {(): self.full}
+            for i, key in enumerate(zip(*map(self._columns.__getitem__, cols))):
                 got[key] = got.get(key, 0) | 1 << i
-            self._partitions[cols] = got
         return got
-
-    def _rows(self, pred: Callable[[Assignment], bool]) -> int:
-        """The bitset of the rows satisfying a per-row predicate."""
-        return sum(1 << i for i, row in enumerate(self.model.team) if pred(row))
 
     def mask(self, phi: Formula) -> int:
         """The bitset of the team rows at which ``phi`` holds."""
@@ -133,9 +137,12 @@ class Evaluator:
                 m = sum(b for b in blocks if b & body == b)
         elif isinstance(phi, ATOM_TYPES):
             self.stats.atom_evals += 1
-            m = self._atom(phi)
-            if isinstance(phi, (Neq, Anon, Excl, NInd)):
-                m ^= self.full
+            m = self._atoms.get(phi)
+            if m is None:
+                m = self._atom(phi)
+                if isinstance(phi, (Neq, Anon, Excl, NInd)):
+                    m ^= self.full
+                self._atoms[phi] = m
         elif isinstance(phi, Not):
             raise FormulaError("checker requires a Not-free formula")
         else:
@@ -146,34 +153,27 @@ class Evaluator:
     def _atom(self, beta: Formula) -> int:
         """The bitset of a relational literal or a local atom, except that
         Y, !=, notin and nInd get the bitset of their duals D, =, in and
-        Ind, which :meth:`mask` complements."""
+        Ind, which :meth:`mask` complements.  Each atom is decided once
+        per distinct value of the projections it reads."""
         index = self.model.ftype.index
         if isinstance(beta, RelLit):
-            holds = self.model.structure.holds
-            idx = [index(x) for x in beta.args]
-            return self._rows(
-                lambda row: holds(beta.rel, tuple(row[i] for i in idx))
-                == beta.positive
-            )
+            part = self._partition(tuple(map(index, beta.args)))
+            holds, rel = self.model.structure.holds, beta.rel
+            return sum(b for k, b in part.items() if holds(rel, k) == beta.positive)
         if isinstance(beta, (Eq, Neq)):
-            a, b = index(beta.left), index(beta.right)
-            return self._rows(lambda row: row[a] == row[b])
+            part = self._partition((index(beta.left), index(beta.right)))
+            return sum(b for (u, v), b in part.items() if u == v)
         if isinstance(beta, (Dep, Anon)):
             # an X-block is constant on y iff it is also an (X + y)-block
             finer = set(self.blocks(beta.over + (beta.target,)).values())
             return sum(b for b in self.blocks(beta.over).values() if b in finer)
         if isinstance(beta, (Incl, Excl)):
-            li = [index(x) for x in beta.left]
-            ri = [index(y) for y in beta.right]
-            values = {tuple(row[i] for i in ri) for row in self.model.team}
-            return self._rows(lambda row: tuple(row[i] for i in li) in values)
+            values = self._partition(tuple(map(index, beta.right)))
+            left = self._partition(tuple(map(index, beta.left)))
+            return sum(b for key, b in left.items() if key in values)
         # Ind / NInd: an l-block must realise every r-value of the team
         lc, rc = self._cols(beta.left), self._cols(beta.right)
-        pairs = {
-            (tuple(row[c] for c in lc), tuple(row[c] for c in rc))
-            for row in self.model.team
-        }
-        per_left = Counter(key for key, _ in pairs)
+        per_left = Counter(key[: len(lc)] for key in self._partition(lc + rc))
         want = len(self._partition(rc))
         left = self._partition(lc)
         return sum(b for key, b in left.items() if per_left[key] == want)

@@ -128,7 +128,7 @@ def cmd_check(args) -> int:
     lines.append("true" if result.value else "false")
     lines.append(
         f"stats: atoms={st.atom_evals} quantifiers={st.quantifier_expansions} "
-        f"memo_hits={st.memo_hits}"
+        f"memo_hits={st.memo_hits} partitions={st.partitions}"
     )
     _emit("\n".join(lines), args.out)
     return 0 if result.value else 1

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 import gen
 from teamlogic import (
     Anon,
+    canonical_atoms,
     Dep,
     DependenceModel,
     Eq,
@@ -166,6 +167,16 @@ def test_global_independence_full_vs_diagonal():
     assert check_global_atom(Ind(("x",), ("y",)), diag) is False
 
 
+def _oracle(beta, model):
+    """Per team row, eval_fo of the standard translation of ``beta``."""
+    psi = standard_translation(beta, model.ftype)
+    structure = expand(model)
+    return [
+        eval_fo(psi, structure, dict(zip(model.ftype.variables, row)))
+        for row in model.team
+    ]
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.integers(0, 10**9))
 def test_global_atoms_and_extension_match_oracle(seed):
@@ -176,16 +187,71 @@ def test_global_atoms_and_extension_match_oracle(seed):
     model = gen.random_model(rng, with_relations=False)
     kind = rng.choice((KIND_D, KIND_Y, KIND_IN, KIND_NOTIN, KIND_IND))
     beta = gen.random_atom(rng, model.ftype, OmegaProfile.of(kind))
-    psi = standard_translation(beta, model.ftype)
-    structure = expand(model)
-    oracle = [
-        eval_fo(psi, structure, dict(zip(model.ftype.variables, row)))
-        for row in model.team
-    ]
+    oracle = _oracle(beta, model)
     assert check_global_atom(beta, model) == all(oracle)
     assert extension(beta, model) == tuple(
         row for row, held in zip(model.team, oracle) if held
     )
+
+
+RELATIONS = (("P", 1), ("E", 2))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 10**9))
+def test_atom_kernel_matches_oracle(seed):
+    """Every canonical atom of the full profile, relational literals
+    included, evaluated in shuffled order through one shared Evaluator (so
+    partitions and atom bitsets are shared across kinds, and = and != come
+    in either order), holds exactly where the oracle does."""
+    rng = random.Random(seed)
+    variables = ("x", "y", "z")[: rng.randint(1, 3)]
+    ftype = FiniteType(RELATIONS, variables)
+    model = gen.random_model_of_type(rng, ftype, max_team=6)
+    atoms = canonical_atoms(ftype, OmegaProfile.full())
+    atoms += [RelLit(False, a.rel, a.args) for a in atoms if isinstance(a, RelLit)]
+    rng.shuffle(atoms)
+    ev = Evaluator(model)
+    for beta in atoms:
+        assert ev.truth_rows(beta) == _oracle(beta, model), beta
+
+
+EDGE_ATOMS = ("E(x x)", "!E(x x)", "x = x", "x != x", "in(x x ; y z)",
+              "notin(x x ; y z)", "Ind[x y](y z)", "nInd[x y](y z)",
+              "Ind[x y](x y)", "D[] y", "Y[] y")
+
+
+@pytest.mark.parametrize("text", EDGE_ATOMS)
+def test_atom_kernel_edge_atoms(text):
+    """Repeated columns, overlapping independence sets, the empty
+    dependence set, and one-row teams, against the oracle."""
+    ftype = FiniteType(RELATIONS, ("x", "y", "z"))
+    beta = parse_formula(text, ftype)
+    rng = random.Random(text)
+    models = [gen.random_model_of_type(rng, ftype, max_team=8) for _ in range(20)]
+    models += [gen.random_model_of_type(rng, ftype, max_team=1) for _ in range(5)]
+    assert any(len(m.team) == 1 for m in models)
+    for model in models:
+        assert Evaluator(model).truth_rows(beta) == _oracle(beta, model)
+
+
+def test_atom_cache_keeps_stats_comparable():
+    """Structurally equal atoms share one bitset, while atom_evals still
+    counts every atom node visited and memo_hits only identity hits."""
+    model = gen.ex_local_dep()
+    ev = Evaluator(model)
+    computed = []
+    compute = ev._atom
+    ev._atom = lambda beta: computed.append(beta) or compute(beta)
+    neq, eq, eq_copy = Neq("x", "y"), Eq("x", "y"), Eq("x", "y")
+    assert eq is not eq_copy
+    m_neq, m_eq = ev.mask(neq), ev.mask(eq)
+    assert ev.mask(eq_copy) == m_eq
+    assert ev.truth_rows(eq) == [s[0] == s[1] for s in model.team]
+    assert m_neq == m_eq ^ ev.full
+    assert computed == [neq, eq]
+    stats = ev.stats
+    assert (stats.atom_evals, stats.memo_hits, stats.partitions) == (3, 1, 1)
 
 
 @settings(max_examples=100, deadline=None)

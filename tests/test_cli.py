@@ -1,7 +1,15 @@
+import contextlib
+import io
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gen
 from teamlogic import (
+    OmegaProfile,
+    PointedModel,
+    bisimilarity,
     check,
     char_formula,
     dump_model,
@@ -11,9 +19,10 @@ from teamlogic import (
     parse_kahr,
     reduce_to_equality,
     reduce_to_inclusion,
+    to_nnf,
     variable_distinguished,
 )
-from teamlogic.cli import main
+from teamlogic.cli import build_parser, main
 from teamlogic.syntax import LFD, Incl
 
 
@@ -52,6 +61,8 @@ def test_check_reports_stats(dm_path, capsys):
           "--at", "0 0 0"])
     out = capsys.readouterr().out
     assert "stats:" in out and "atoms=" in out
+    # the partitions on {}, {y} and {x, y}
+    assert "partitions=3" in out
 
 
 def test_check_fo_team_mode(tmp_path, capsys):
@@ -239,3 +250,110 @@ def test_unexpected_exception_exits_2(dm_path, monkeypatch, capsys):
     assert main(["vd", "--model", dm_path]) == 2
     err = capsys.readouterr().err
     assert err == "error: internal: KeyError: 'lost'\n"
+
+
+FUZZ_DM = """universe 0 1 2
+vars x y z
+rel P 1
+1
+end
+rel E 2
+0 1
+1 1
+2 0
+end
+team
+0 0 0
+1 1 0
+1 2 1
+2 2 1
+end
+"""
+FUZZ_ROWS = ("0 0 0", "1 1 0", "1 2 1", "2 2 1")
+FUZZ_FORMULAS = ("A[] E[] D[y] x", "E[x] (in(x y ; y z) & !E(x y))",
+                 "~(Ind[x](y z) | x != z)", "A[y] (P(x) | notin(z ; x))")
+FUZZ_KAHR = ("binary E\nmonadic P\nmatrix E(x y) | (P(z) & !E(y z))\n",
+             "binary R\nmatrix !R(x x) & (R(x y) | R(z y))\n")
+FUZZ_TOKENS = ("x", "y", "z", "0", "1", "2", "3", " ", "\n", "(", ")", "[", "]",
+               ";", ",", "&", "|", "!", "~", "=", "!=", "D", "Y", "E", "A",
+               "in", "notin", "Ind", "nInd", "P", "rel", "vars", "team", "end",
+               "-", "fix", "binary", "monadic", "matrix", "#")
+
+
+def _mutate(rng, text):
+    """``text`` with one to three random deletions, insertions and
+    replacements of short spans by grammar tokens."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(text))
+        j = min(len(text), i + rng.randint(0, 3))
+        token = rng.choice(FUZZ_TOKENS)
+        text = text[:i] + rng.choice(("", token, token + text[i:j])) + text[j:]
+    return text
+
+
+def _omega(spec):
+    return OmegaProfile(frozenset(spec.replace(",", " ").split()))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 10**9))
+def test_cli_fuzz_exit_contract(tmp_path_factory, seed):
+    """On mutated model, formula and Kahr text and flags, check, bisim and
+    reduce exit 0, 1 or 2 without a traceback; 0 or 1 agrees with the
+    library, and reduce, which answers no query, never exits 1."""
+    rng = random.Random(seed)
+    target = rng.choice(
+        ("dm", "formula", "kahr", "at", "omega", "depth", "argv", None)
+    )
+
+    def pick(name, choices):
+        text = rng.choice(choices)
+        return _mutate(rng, text) if name == target else text
+
+    path = tmp_path_factory.mktemp("fuzz") / "m.dm"
+    text = pick("dm", (FUZZ_DM,))
+    path.write_text(text)
+    command = rng.choice(("check", "bisim", "reduce"))
+    at = pick("at", FUZZ_ROWS)
+    omega = pick("omega", ("D,Y", "=,!=,in,notin", "Ind nInd"))
+    if command == "check":
+        formula = pick("formula", FUZZ_FORMULAS)
+        argv = ["check", "--model", str(path), "--formula", formula, "--at", at]
+        if rng.random() < 0.3:
+            argv += ["--omega", omega]
+    elif command == "bisim":
+        depth = pick("depth", ("0", "2", "fix"))
+        other = rng.choice(FUZZ_ROWS)
+        argv = ["bisim", "--left", str(path), "--right", str(path),
+                "--at-left", at, "--at-right", other, "--omega", omega,
+                "--depth", depth]
+    else:
+        kahr = path.with_suffix(".kahr")
+        kahr.write_text(pick("kahr", FUZZ_KAHR))
+        argv = ["reduce", str(kahr), "--target", rng.choice(("incl", "eq"))]
+    if target == "argv":
+        i = rng.randrange(len(argv))
+        argv[i : i + 1] = rng.choice(([], argv[i : i + 1] * 2, [_mutate(rng, argv[i])]))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as e:  # argparse rejects a bad flag this way
+            rc = e.code
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        return
+    args = build_parser().parse_args(argv)
+    if args.command == "reduce":
+        assert rc == 0
+        return
+    model = load_model(text)
+    if args.command == "check":
+        phi = to_nnf(parse_formula(args.formula, model.ftype))
+        answer = check(phi, model, tuple(args.at.split())).value
+    else:
+        answer = bisimilarity(PointedModel(model, tuple(args.at_left.split())),
+                              PointedModel(model, tuple(args.at_right.split())),
+                              _omega(args.omega), args.depth).related
+    assert answer == (rc == 0)
