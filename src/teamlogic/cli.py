@@ -9,6 +9,7 @@ library; no semantics lives here.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import bisim as bisim_mod
@@ -54,6 +55,8 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+        # a closed stdout raises here, inside main, not at interpreter exit
+        sys.stdout.flush()
     else:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
@@ -108,10 +111,9 @@ def cmd_check(args) -> int:
         lines.append(f"materialized team size: {len(model.team)}")
         lines.append(f"free variable bound: {mat.free_var_bound}")
         if args.bound is not None and mat.free_var_bound > args.bound:
-            print(
+            _report(
                 f"warning: bound {args.bound} exceeded "
-                f"(measured {mat.free_var_bound}); proceeding",
-                file=sys.stderr,
+                f"(measured {mat.free_var_bound}); proceeding"
             )
     else:
         model = _load_dm(args.model)
@@ -311,15 +313,44 @@ def main(argv: list[str] | None = None) -> int:
         fo.EvalError,
         reduce_mod.ReduceError,
     ) as e:
-        print(f"error: {e}", file=sys.stderr)
+        _report(f"error: {e}")
         return 2
     except RecursionError:
-        print("error: formula nested too deeply", file=sys.stderr)
+        _report("error: formula nested too deeply")
+        return 2
+    except OSError as e:
+        # reading and --out errors are CliErrors, so this is stdout: a pipe
+        # whose reader has exited, or a full disk
+        _to_devnull(sys.stdout)
+        _report(f"error: cannot write output: {e}")
         return 2
     except Exception as e:
         # last resort: the exit-code contract holds for defects too
-        print(f"error: internal: {type(e).__name__}: {e}", file=sys.stderr)
+        _report(f"error: internal: {type(e).__name__}: {e}")
         return 2
+
+
+def _report(message: str) -> None:
+    """Print a diagnostic line on stderr.  Never raises: a stderr that
+    cannot be written is pointed at the null device instead."""
+    try:
+        print(message, file=sys.stderr, flush=True)
+    except OSError:
+        _to_devnull(sys.stderr)
+
+
+def _to_devnull(stream) -> None:
+    """Point a standard stream that cannot be written at the null device,
+    so that the flush at interpreter exit does not fail and change the
+    exit code."""
+    try:
+        null = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(null, stream.fileno())
+        finally:
+            os.close(null)
+    except (OSError, ValueError):
+        pass  # no file descriptor to redirect: nothing more can be done
 
 
 if __name__ == "__main__":

@@ -335,12 +335,21 @@ def validate(phi: Formula, ftype: FiniteType) -> None:
 
 
 def is_nnf(phi: Formula) -> bool:
-    if isinstance(phi, Not):
-        return False
-    if isinstance(phi, (And, Or)):
-        return is_nnf(phi.left) and is_nnf(phi.right)
-    if isinstance(phi, (Forall, Exists)):
-        return is_nnf(phi.body)
+    """Whether ``phi`` is Not-free.  Each distinct node object is visited
+    once, without recursion, so a shared DAG costs its node count."""
+    seen: set[int] = set()
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Not):
+            return False
+        if id(f) in seen:
+            continue
+        seen.add(id(f))
+        if isinstance(f, (And, Or)):
+            stack += (f.left, f.right)
+        elif isinstance(f, (Forall, Exists)):
+            stack.append(f.body)
     return True
 
 
@@ -653,41 +662,87 @@ def parse_formula(text: str, ftype: FiniteType) -> Formula:
 
 
 def print_formula(phi: Formula) -> str:
-    """Render a formula so that parsing the result reproduces it."""
-    return _print(phi, 0)
+    """Render a formula so that parsing the result reproduces it.
+
+    Each distinct node object is rendered once, so a shared DAG costs time
+    linear in its node count plus the text it produces.  The walk keeps
+    its own stack, so nesting depth is not bounded by the recursion limit.
+    """
+    text: dict[int, str] = {}
+    # (node, None) asks for the text of node; (node, plan) renders it once
+    # the text of every child in the plan exists
+    stack: list[tuple[Formula, tuple | None]] = [(phi, None)]
+    while stack:
+        node, plan = stack.pop()
+        if plan is None:
+            if id(node) in text:
+                continue
+            atom = _ATOM_TEXT.get(type(node))
+            if atom is not None:
+                text[id(node)] = atom(node)
+            else:
+                plan = _plan(node, text)
+                stack.append((node, plan))
+                stack.extend((c, None) for c, _ in plan[2] if id(c) not in text)
+            continue
+        prefix, sep, pieces = plan
+        out = [prefix]
+        for n, (c, parens) in enumerate(pieces):
+            if n:
+                out.append(sep)
+            if parens:
+                out += ("(", text[id(c)], ")")
+            else:
+                out.append(text[id(c)])
+        text[id(node)] = "".join(out)
+    return text[id(phi)]
 
 
-# precedence levels: 0 = disjunction context, 1 = conjunction, 2 = unit
-def _print(phi: Formula, level: int) -> str:
-    if isinstance(phi, Or):
-        s = f"{_print(phi.left, 0)} | {_print(phi.right, 1)}"
-        return f"({s})" if level > 0 else s
-    if isinstance(phi, And):
-        s = f"{_print(phi.left, 1)} & {_print(phi.right, 2)}"
-        return f"({s})" if level > 1 else s
-    if isinstance(phi, Forall):
-        return f"A[{' '.join(phi.fixed)}] {_print(phi.body, 2)}"
-    if isinstance(phi, Exists):
-        return f"E[{' '.join(phi.fixed)}] {_print(phi.body, 2)}"
-    if isinstance(phi, Not):
-        return f"not {_print(phi.body, 2)}"
-    if isinstance(phi, RelLit):
-        bang = "" if phi.positive else "!"
-        return f"{bang}{phi.rel}({' '.join(phi.args)})"
-    if isinstance(phi, Eq):
-        return f"{phi.left} = {phi.right}"
-    if isinstance(phi, Neq):
-        return f"{phi.left} != {phi.right}"
-    if isinstance(phi, Dep):
-        return f"D[{' '.join(phi.over)}] {phi.target}"
-    if isinstance(phi, Anon):
-        return f"Y[{' '.join(phi.over)}] {phi.target}"
-    if isinstance(phi, Incl):
-        return f"in({' '.join(phi.left)} ; {' '.join(phi.right)})"
-    if isinstance(phi, Excl):
-        return f"notin({' '.join(phi.left)} ; {' '.join(phi.right)})"
-    if isinstance(phi, Ind):
-        return f"Ind[{' '.join(phi.left)}]({' '.join(phi.right)})"
-    if isinstance(phi, NInd):
-        return f"nInd[{' '.join(phi.left)}]({' '.join(phi.right)})"
+def _plan(phi: Formula, text: dict[int, str]):
+    """How to render a non-atom ``phi``: a prefix, then a separator and the
+    pieces it joins, each a child and whether it needs parentheses.  A
+    left-nested And or Or spine becomes one join, and a chain of
+    quantifier and negation prefixes one prefix, so that a long chain is
+    not copied once per node.  The descent stops at nodes whose text
+    already exists."""
+    # precedence levels: 0 = disjunction context, 1 = conjunction, 2 = unit;
+    # a disjunction needs parentheses above level 0, a conjunction above 1
+    if isinstance(phi, (And, Or)):
+        op = type(phi)
+        sep, left, right = (" & ", 1, 2) if op is And else (" | ", 0, 1)
+        pieces = []
+        while isinstance(phi, op) and id(phi) not in text:
+            pieces.append(phi.right)
+            phi = phi.left
+        pieces.append(phi)
+        pieces.reverse()
+        levels = [left] + [right] * (len(pieces) - 1)
+        return "", sep, [(c, _needs_parens(c, lv)) for c, lv in zip(pieces, levels)]
+    if isinstance(phi, (Forall, Exists, Not)):
+        prefix = []
+        while isinstance(phi, (Forall, Exists, Not)) and id(phi) not in text:
+            if isinstance(phi, Not):
+                prefix.append("not ")
+            else:
+                q = "A" if isinstance(phi, Forall) else "E"
+                prefix.append(f"{q}[{' '.join(phi.fixed)}] ")
+            phi = phi.body
+        return "".join(prefix), "", [(phi, _needs_parens(phi, 2))]
     raise FormulaError(f"unknown formula node {type(phi).__name__}")
+
+
+def _needs_parens(phi: Formula, level: int) -> bool:
+    return isinstance(phi, Or) and level > 0 or isinstance(phi, And) and level > 1
+
+
+_ATOM_TEXT = {
+    RelLit: lambda f: f"{'' if f.positive else '!'}{f.rel}({' '.join(f.args)})",
+    Eq: lambda f: f"{f.left} = {f.right}",
+    Neq: lambda f: f"{f.left} != {f.right}",
+    Dep: lambda f: f"D[{' '.join(f.over)}] {f.target}",
+    Anon: lambda f: f"Y[{' '.join(f.over)}] {f.target}",
+    Incl: lambda f: f"in({' '.join(f.left)} ; {' '.join(f.right)})",
+    Excl: lambda f: f"notin({' '.join(f.left)} ; {' '.join(f.right)})",
+    Ind: lambda f: f"Ind[{' '.join(f.left)}]({' '.join(f.right)})",
+    NInd: lambda f: f"nInd[{' '.join(f.left)}]({' '.join(f.right)})",
+}

@@ -24,6 +24,7 @@ from teamlogic import (
     Ind,
     Neq,
     NInd,
+    Not,
     OmegaProfile,
     Or,
     RelLit,
@@ -91,6 +92,46 @@ def naive_refine(Z, left, right):
         if forth_ok() and back_ok():
             keep.add((i, j))
     return frozenset(keep)
+
+
+# precedence levels: 0 = disjunction context, 1 = conjunction, 2 = unit
+def reference_print(phi: Formula, level: int = 0) -> str:
+    """The recursive tree printer that ``print_formula`` replaced: it renders
+    a shared subformula once per use, and its depth is bounded by the
+    recursion limit."""
+    p = reference_print
+    if isinstance(phi, Or):
+        s = f"{p(phi.left, 0)} | {p(phi.right, 1)}"
+        return f"({s})" if level > 0 else s
+    if isinstance(phi, And):
+        s = f"{p(phi.left, 1)} & {p(phi.right, 2)}"
+        return f"({s})" if level > 1 else s
+    if isinstance(phi, Forall):
+        return f"A[{' '.join(phi.fixed)}] {p(phi.body, 2)}"
+    if isinstance(phi, Exists):
+        return f"E[{' '.join(phi.fixed)}] {p(phi.body, 2)}"
+    if isinstance(phi, Not):
+        return f"not {p(phi.body, 2)}"
+    if isinstance(phi, RelLit):
+        bang = "" if phi.positive else "!"
+        return f"{bang}{phi.rel}({' '.join(phi.args)})"
+    if isinstance(phi, Eq):
+        return f"{phi.left} = {phi.right}"
+    if isinstance(phi, Neq):
+        return f"{phi.left} != {phi.right}"
+    if isinstance(phi, Dep):
+        return f"D[{' '.join(phi.over)}] {phi.target}"
+    if isinstance(phi, Anon):
+        return f"Y[{' '.join(phi.over)}] {phi.target}"
+    if isinstance(phi, Incl):
+        return f"in({' '.join(phi.left)} ; {' '.join(phi.right)})"
+    if isinstance(phi, Excl):
+        return f"notin({' '.join(phi.left)} ; {' '.join(phi.right)})"
+    if isinstance(phi, Ind):
+        return f"Ind[{' '.join(phi.left)}]({' '.join(phi.right)})"
+    if isinstance(phi, NInd):
+        return f"nInd[{' '.join(phi.left)}]({' '.join(phi.right)})"
+    raise TypeError(f"unknown formula node {type(phi).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,14 +18,17 @@ from teamlogic import (
     canonical_atoms,
     check,
     eval_local_atom,
+    print_formula,
     quantifier_rank,
     refine_step,
 )
 from teamlogic.syntax import (
     LFD,
     LFD_EQ,
+    And,
     Anon,
     Dep,
+    Forall,
     KIND_D,
     KIND_EQ,
     KIND_NEQ,
@@ -158,3 +162,55 @@ def test_single_variable_equality_profile():
             assert ev.truth_rows(chis[i]) == [
                 (i, j) in Z.pairs for j in range(len(model.team))
             ]
+
+
+def _conjuncts(f):
+    """The conjuncts of a left-nested conjunction chain."""
+    out = []
+    while isinstance(f, And):
+        out.append(f.right)
+        f = f.left
+    out.append(f)
+    return out[::-1]
+
+
+def test_pinned_texts_with_shared_rank_0_formulas():
+    """When rows share their rank-0 formula object, the disjunction and the
+    forth conjuncts name it once.  With one atom, the rows where it holds
+    share it, while each other row has its own negation, which is named
+    once per row."""
+    ftype = FiniteType((), ("x",))
+    model = DependenceModel(
+        ftype, Structure(("0", "1", "2"), {}), (("0",), ("1",), ("2",))
+    )
+    omega = OmegaProfile.of(KIND_EQ, KIND_NEQ)
+    assert [print_formula(c) for c in char_formula_all(model, 1, omega)] == [
+        "A[] x = x & A[x] x = x & E[] x = x & E[x] x = x"
+    ] * 3
+    ftype = FiniteType((("P", 1),), ("x",))
+    team = (("0",), ("1",), ("2",), ("3",))
+    structure = Structure(("0", "1", "2", "3"), {"P": frozenset(team[:2])})
+    model = DependenceModel(ftype, structure, team)
+    assert canonical_atoms(ftype, omega) == [RelLit(True, "P", ("x",))]
+    back = "A[] (P(x) | !P(x) | !P(x))"
+    assert [print_formula(c) for c in char_formula_all(model, 1, omega)] == [
+        f"{back} & A[x] P(x) & E[] P(x) & E[x] P(x) & E[] !P(x) & E[] !P(x)",
+        f"{back} & A[x] P(x) & E[] P(x) & E[x] P(x) & E[] !P(x) & E[] !P(x)",
+        f"{back} & A[x] !P(x) & E[] P(x) & E[] !P(x) & E[x] !P(x) & E[] !P(x)",
+        f"{back} & A[x] !P(x) & E[] P(x) & E[] !P(x) & E[] !P(x) & E[x] !P(x)",
+    ]
+
+
+def test_rows_of_one_block_share_their_back_conjunct():
+    """The back conjunct for X is one object for all rows of an X-block,
+    and distinct objects for rows of different X-blocks."""
+    model = gen.ex_local_dep()
+    vs = model.ftype.variables
+    subsets = [X for r in range(len(vs) + 1) for X in combinations(vs, r)]
+    for k in (1, 2):
+        backs = [_conjuncts(c)[: len(subsets)] for c in char_formula_all(model, k, LFD)]
+        for x, X in enumerate(subsets):
+            for i, s in enumerate(model.team):
+                for j, t in enumerate(model.team):
+                    assert isinstance(backs[i][x], Forall)
+                    assert (backs[i][x] is backs[j][x]) == model.agree(s, t, X)

@@ -1,6 +1,9 @@
 import contextlib
 import io
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -357,3 +360,24 @@ def test_cli_fuzz_exit_contract(tmp_path_factory, seed):
                               PointedModel(model, tuple(args.at_right.split())),
                               _omega(args.omega), args.depth).related
     assert answer == (rc == 0)
+
+
+def test_closed_output_pipe_exits_2(dm_path, monkeypatch):
+    """stdout and stderr lead into a pipe whose reader has exited: the
+    command exits 2 rather than 1, with or without the interpreter's flush
+    at exit, and printing the error raises nothing."""
+    argv = ["check", "--model", dm_path, "--formula", "x = y", "--at", "0 0 0"]
+    r, w = os.pipe()
+    os.close(r)
+    with os.fdopen(w, "w") as out, os.fdopen(os.dup(w), "w") as err:
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", err)
+        assert main(argv) == 2
+        monkeypatch.undo()
+    r, w = os.pipe()
+    os.close(r)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-m", "teamlogic.cli", *argv],
+                          stdout=w, stderr=w, env=env, timeout=60)
+    os.close(w)
+    assert proc.returncode == 2

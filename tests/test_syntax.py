@@ -21,6 +21,8 @@ from teamlogic import (
     OmegaProfile,
     Or,
     RelLit,
+    char_formula_all,
+    check,
     free_vars,
     infer_omega,
     is_nnf,
@@ -31,7 +33,7 @@ from teamlogic import (
     to_nnf,
     validate,
 )
-from teamlogic.syntax import LFD, LFD_EQ, KIND_D, KIND_IND, KIND_Y
+from teamlogic.syntax import LFD, LFD_EQ, KIND_D, KIND_IND, KIND_Y, conj, disj
 
 
 FT = FiniteType((("P", 1), ("E", 2)), ("x", "y", "z"))
@@ -117,6 +119,54 @@ def test_print_parse_roundtrip(seed):
     omega = gen.random_omega(rng)
     phi = gen.random_formula(rng, FT, omega, rank=3)
     assert parse_formula(print_formula(phi), FT) == phi
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 10**9))
+def test_printer_matches_reference(seed):
+    """print_formula prints what the recursive tree printer prints: on
+    random formulas, on a DAG using one of them at every precedence level,
+    and on every characteristic formula of a random model."""
+    rng = random.Random(seed)
+    size = rng.randint(1, 12)
+    phi = gen.random_formula(rng, FT, gen.random_omega(rng), rank=3, size=size)
+    shared = Not(And(phi, Or(Not(phi), Exists(("x",), Not(Forall((), phi))))))
+    for f in (phi, shared, Or(shared, And(phi, shared))):
+        assert print_formula(f) == gen.reference_print(f)
+    model = gen.random_model(rng, max_team=4)
+    omega = gen.random_omega(rng, tuple_ok=len(model.ftype.variables) <= 2)
+    for chi in char_formula_all(model, rng.randint(0, 2), omega):
+        assert print_formula(chi) == gen.reference_print(chi)
+
+
+def test_printer_long_chains():
+    """Flat chains and deep prefix nesting print without recursion; the
+    recursive printer raises RecursionError on each of them."""
+    n = 100_000
+    atom = Eq("x", "y")
+    assert print_formula(conj([atom] * n)) == " & ".join(["x = y"] * n)
+    assert print_formula(disj([atom] * n)) == " | ".join(["x = y"] * n)
+    nested = atom
+    for _ in range(n):
+        nested = Exists(("x",), nested)
+    assert print_formula(nested) == "E[x] " * n + "x = y"
+    nested = Not(nested)
+    assert print_formula(And(atom, nested)) == f"x = y & not {'E[x] ' * n}x = y"
+
+
+def test_is_nnf_on_shared_dag():
+    """is_nnf visits each node object once: 64 levels of And(f, f) have
+    2^64 tree nodes."""
+    bottom = Eq("x", "x")
+    f, g = bottom, Not(bottom)
+    for _ in range(64):
+        f, g = And(f, f), And(g, g)
+    assert is_nnf(f)
+    assert not is_nnf(g)
+    for h in (And(f, Not(bottom)), Or(Not(bottom), f), Exists((), Or(f, g))):
+        assert not is_nnf(h)
+    model = gen.ex_local_dep()
+    assert check(f, model, model.team[0]).value
 
 
 @settings(max_examples=200, deadline=None)
