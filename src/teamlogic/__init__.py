@@ -27,7 +27,6 @@ from .fo import (
     EvalError,
     TranslationError,
     build_standard_relational_model,
-    build_theta,
     eval_fo,
     guarded_translation,
     modal_translation,

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .model import Assignment, DependenceModel, ModelError
+from .model import Assignment, DependenceModel
 from .syntax import (
     And,
     Anon,
@@ -75,14 +75,9 @@ class Evaluator:
         self._columns = list(zip(*model.team))
         self._sorted_cols: dict[tuple[str, ...], tuple[int, ...]] = {}
         self._partitions: dict[tuple[int, ...], dict[tuple[str, ...], int]] = {}
-        self._row_index = {row: i for i, row in enumerate(model.team)}
 
     def truth(self, phi: Formula, s: Assignment) -> bool:
-        try:
-            i = self._row_index[s]
-        except KeyError:
-            raise ModelError(f"assignment {s} outside team") from None
-        return bool(self.mask(phi) >> i & 1)
+        return bool(self.mask(phi) >> self.model.row_index(s) & 1)
 
     def truth_rows(self, phi: Formula) -> list[bool]:
         """Truth value at every team row, in team order."""
@@ -120,13 +115,17 @@ class Evaluator:
             self.stats.memo_hits += 1
             return hit[1]
         if isinstance(phi, And):
-            m = self.mask(phi.left)
-            if m:
-                m &= self.mask(phi.right)
+            m = self.full
+            for part in phi.parts:
+                m &= self.mask(part)
+                if not m:
+                    break
         elif isinstance(phi, Or):
-            m = self.mask(phi.left)
-            if m != self.full:
-                m |= self.mask(phi.right)
+            m = 0
+            for part in phi.parts:
+                m |= self.mask(part)
+                if m == self.full:
+                    break
         elif isinstance(phi, (Exists, Forall)):
             self.stats.quantifier_expansions += 1
             body = self.mask(phi.body)

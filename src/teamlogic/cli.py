@@ -21,6 +21,7 @@ from .model import (
     DEFAULT_MAX_TEAM,
     DependenceModel,
     ModelError,
+    PointedModel,
     disjoint_union,
     dump_model,
     load_model,
@@ -158,8 +159,6 @@ def cmd_bisim(args) -> int:
         raise CliError("bisim requires --omega")
     at_left = _parse_at(args.at_left)
     at_right = _parse_at(args.at_right)
-    from .model import PointedModel
-
     result = bisim_mod.bisimilarity(
         PointedModel(left, at_left),
         PointedModel(right, at_right),

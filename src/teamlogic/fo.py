@@ -416,9 +416,9 @@ def standard_translation(
             out = _tr_ind(f.left, f.right)
             return out if isinstance(f, Ind) else FONot(out)
         if isinstance(f, And):
-            return FOAnd(tr(f.left), tr(f.right))
+            return conj(map(tr, f.parts))
         if isinstance(f, Or):
-            return FOOr(tr(f.left), tr(f.right))
+            return disj(map(tr, f.parts))
         if isinstance(f, (Forall, Exists)):
             rest = tuple(v for v in vs if v not in f.fixed)
             guard = _team_atom((Var(v) for v in vs), team_symbol)
@@ -511,32 +511,6 @@ def guarded_translation(
 
 
 # ---------------------------------------------------------------------------
-# agreement guard builder
-
-
-def build_theta(
-    X: Iterable[str], ftype: FiniteType, team_symbol: str = TEAM
-) -> tuple[FOFormula, tuple[str, ...], tuple[str, ...]]:
-    """First-order guard stating that two value tuples are both team rows
-    and agree on the variable set X.  Returns the formula together with the
-    names of its left and right free-variable tuples."""
-    xs = ftype.varset(X)
-    left = tuple(f"{v}_L" for v in ftype.variables)
-    right = tuple(f"{v}_R" for v in ftype.variables)
-    eqs = [
-        FOEq(Var(left[ftype.index(v)]), Var(right[ftype.index(v)])) for v in xs
-    ]
-    formula = FOAnd(
-        FOAnd(
-            _team_atom((Var(v) for v in left), team_symbol),
-            _team_atom((Var(v) for v in right), team_symbol),
-        ),
-        conj(eqs),
-    )
-    return formula, left, right
-
-
-# ---------------------------------------------------------------------------
 # modal translation over standard relational models
 
 
@@ -568,8 +542,8 @@ def _relational_atoms(phi: Formula) -> set[tuple[str, tuple[str, ...]]]:
         if isinstance(f, RelLit):
             out.add((f.rel, f.args))
         elif isinstance(f, (And, Or)):
-            walk(f.left)
-            walk(f.right)
+            for p in f.parts:
+                walk(p)
         elif isinstance(f, (Forall, Exists, Not)):
             walk(f.body)
 
@@ -649,9 +623,9 @@ def modal_translation(phi: Formula, state_var: str = "w0") -> FOFormula:
                 f"{type(f).__name__} atom is not in the modal fragment"
             )
         if isinstance(f, And):
-            return FOAnd(tr(f.left, cur, depth), tr(f.right, cur, depth))
+            return conj(tr(p, cur, depth) for p in f.parts)
         if isinstance(f, Or):
-            return FOOr(tr(f.left, cur, depth), tr(f.right, cur, depth))
+            return disj(tr(p, cur, depth) for p in f.parts)
         if isinstance(f, (Forall, Exists)):
             t = fresh(depth + 1)
             inner = tr(f.body, t, depth + 1)

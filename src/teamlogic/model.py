@@ -54,13 +54,17 @@ class DependenceModel:
     ftype: FiniteType
     structure: Structure
     team: tuple[Assignment, ...]
+    #: the position of each row in the team
+    _rows: dict[Assignment, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.ftype.variables)
         if not self.team:
             raise ModelError("team must be nonempty")
-        if len(set(self.team)) != len(self.team):
+        rows = {row: i for i, row in enumerate(self.team)}
+        if len(rows) != len(self.team):
             raise ModelError("duplicate team row")
+        object.__setattr__(self, "_rows", rows)
         elems = set(self.structure.universe)
         for row in self.team:
             if len(row) != n:
@@ -79,8 +83,8 @@ class DependenceModel:
 
     def row_index(self, s: Assignment) -> int:
         try:
-            return self.team.index(s)
-        except ValueError:
+            return self._rows[s]
+        except KeyError:
             raise ModelError(f"assignment {s} outside team") from None
 
     def value(self, s: Assignment, var: str) -> str:
@@ -99,8 +103,7 @@ class PointedModel:
     at: Assignment
 
     def __post_init__(self):
-        if self.at not in self.model.team:
-            raise ModelError(f"assignment {self.at} outside team")
+        self.model.row_index(self.at)  # raises ModelError outside the team
 
 
 # ---------------------------------------------------------------------------

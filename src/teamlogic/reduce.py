@@ -99,8 +99,8 @@ def _check_matrix(phi: Formula) -> None:
     if isinstance(phi, RelLit):
         return
     if isinstance(phi, (And, Or)):
-        _check_matrix(phi.left)
-        _check_matrix(phi.right)
+        for part in phi.parts:
+            _check_matrix(part)
         return
     if isinstance(phi, (Eq, Neq)):
         raise ReduceError("equality is not allowed in the matrix")
@@ -178,9 +178,9 @@ def _matrix_fo(phi: Formula) -> fo.FOFormula:
         atom = fo.FORel(phi.rel, tuple(fo.Var(a) for a in phi.args))
         return atom if phi.positive else fo.FONot(atom)
     if isinstance(phi, And):
-        return fo.FOAnd(_matrix_fo(phi.left), _matrix_fo(phi.right))
+        return fo.conj(map(_matrix_fo, phi.parts))
     if isinstance(phi, Or):
-        return fo.FOOr(_matrix_fo(phi.left), _matrix_fo(phi.right))
+        return fo.disj(map(_matrix_fo, phi.parts))
     raise ReduceError(f"unexpected matrix node {type(phi).__name__}")
 
 
@@ -305,24 +305,16 @@ def rewrite_vd(phi: Formula, ftype: FiniteType) -> Formula:
             return _TOP if f.left != f.right else _BOT
         if isinstance(f, Excl):
             return _TOP if f.left != f.right else _BOT
-        if isinstance(f, And):
-            l, r = rw(f.left), rw(f.right)
-            if l is _BOT or r is _BOT:
-                return _BOT
-            if l is _TOP:
-                return r
-            if r is _TOP:
-                return l
-            return And(l, r)
-        if isinstance(f, Or):
-            l, r = rw(f.left), rw(f.right)
-            if l is _TOP or r is _TOP:
-                return _TOP
-            if l is _BOT:
-                return r
-            if r is _BOT:
-                return l
-            return Or(l, r)
+        if isinstance(f, (And, Or)):
+            # a junction's zero decides it, and its unit parts drop out
+            zero, unit = (_BOT, _TOP) if isinstance(f, And) else (_TOP, _BOT)
+            parts = [rw(p) for p in f.parts]
+            if any(p is zero for p in parts):
+                return zero
+            rest = [p for p in parts if p is not unit]
+            if not rest:
+                return unit
+            return rest[0] if len(rest) == 1 else type(f)(*rest)
         if isinstance(f, (Forall, Exists)):
             # the current assignment is always in range, so constants
             # pass through the quantifier unchanged

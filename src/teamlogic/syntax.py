@@ -5,16 +5,24 @@ ordered list of variables.  Variable sets attached to quantifiers and local
 atoms are stored canonically sorted by the type's variable order, so
 structural equality of two formulas is canonical equality.
 
+``And`` and ``Or`` are n-ary: each holds a tuple of two or more parts, and
+the parser collects an unparenthesised chain ``a & b & c`` into one node,
+so a chain of any length is one level deep.  A parenthesised junction
+stays a part of its own, which keeps ``parse(print(phi)) == phi`` exact.
+
 ``Not`` is a sugar node: it may appear in parsed formulas but every
 downstream consumer (checker, translations, bisimulation) requires the
 Not-free form produced by :func:`to_nnf`.
+
+The walkers here (validation, free variables, rank, profile inference,
+``is_nnf``) visit each distinct node object once, without recursion, so
+a formula DAG with shared subformulas costs its node count.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Iterable, Sequence, Union
 
 
@@ -141,16 +149,29 @@ class NInd(Formula):
     right: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Junction(Formula):
+    """The constructor shared by the n-ary ``And`` and ``Or``."""
+
+    __slots__ = ()
+
+    def __init__(self, *parts: Formula):
+        if len(parts) < 2:
+            raise FormulaError(f"{type(self).__name__} needs at least two parts")
+        object.__setattr__(self, "parts", parts)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+@dataclass(frozen=True, init=False)
+class And(_Junction):
+    """Conjunction of two or more parts: ``And(a, b, c)``."""
+
+    parts: tuple[Formula, ...]
+
+
+@dataclass(frozen=True, init=False)
+class Or(_Junction):
+    """Disjunction of two or more parts: ``Or(a, b, c)``."""
+
+    parts: tuple[Formula, ...]
 
 
 @dataclass(frozen=True)
@@ -178,17 +199,41 @@ class Not(Formula):
 
 
 def conj(parts: Sequence[Formula]) -> Formula:
-    """The left-nested conjunction ``(p0 & p1) & ...`` of a nonempty list."""
+    """The conjunction of a nonempty list: its only part, or one ``And``."""
     if not parts:
         raise FormulaError("empty conjunction")
-    return reduce(And, parts)
+    return parts[0] if len(parts) == 1 else And(*parts)
 
 
 def disj(parts: Sequence[Formula]) -> Formula:
-    """The left-nested disjunction ``(p0 | p1) | ...`` of a nonempty list."""
+    """The disjunction of a nonempty list: its only part, or one ``Or``."""
     if not parts:
         raise FormulaError("empty disjunction")
-    return reduce(Or, parts)
+    return parts[0] if len(parts) == 1 else Or(*parts)
+
+
+def _postorder(phi: Formula) -> list[Formula]:
+    """The distinct node objects of ``phi``, each once and after all of its
+    parts, left to right, found with an explicit stack instead of
+    recursion.  ``None`` on the stack marks that the node below it is due."""
+    out: list[Formula] = []
+    seen: set[int] = set()
+    stack: list = [phi]
+    while stack:
+        f = stack.pop()
+        if f is None:
+            out.append(stack.pop())
+        elif id(f) not in seen:
+            seen.add(id(f))
+            # exact type tests: isinstance with a tuple costs more per node
+            t = type(f)
+            if t is And or t is Or:
+                stack += (f, None, *f.parts[::-1])
+            elif t is Forall or t is Exists or t is Not:
+                stack += (f, None, f.body)
+            else:
+                out.append(f)
+    return out
 
 
 LocalAtom = Union[RelLit, Eq, Neq, Dep, Anon, Incl, Excl, Ind, NInd]
@@ -274,19 +319,8 @@ LFD_EQ = OmegaProfile.of(KIND_D, KIND_Y, KIND_EQ, KIND_NEQ)
 
 def infer_omega(phi: Formula) -> OmegaProfile:
     """The smallest profile covering the local atoms occurring in ``phi``."""
-    kinds: set[str] = set()
-
-    def walk(f: Formula):
-        k = atom_kind(f)
-        if k is not None:
-            kinds.add(k)
-        elif isinstance(f, (And, Or)):
-            walk(f.left)
-            walk(f.right)
-        elif isinstance(f, (Forall, Exists, Not)):
-            walk(f.body)
-
-    walk(phi)
+    kinds = {atom_kind(f) for f in _postorder(phi)}
+    kinds.discard(None)
     return OmegaProfile(frozenset(kinds))
 
 
@@ -297,60 +331,41 @@ def infer_omega(phi: Formula) -> OmegaProfile:
 def validate(phi: Formula, ftype: FiniteType) -> None:
     """Check variable membership, relation arities, and tuple shapes.
     Raises FormulaError on the first violation."""
-    if isinstance(phi, RelLit):
-        ar = ftype.arity(phi.rel)
-        if len(phi.args) != ar:
-            raise FormulaError(
-                f"relation {phi.rel} expects {ar} arguments, got {len(phi.args)}"
-            )
-        for v in phi.args:
-            ftype.index(v)
-    elif isinstance(phi, (Eq, Neq)):
-        ftype.index(phi.left)
-        ftype.index(phi.right)
-    elif isinstance(phi, (Dep, Anon)):
-        if phi.over != ftype.varset(phi.over):
-            raise FormulaError("variable set not in canonical order")
-        ftype.index(phi.target)
-    elif isinstance(phi, (Incl, Excl, Ind, NInd)):
-        if not phi.left or not phi.right:
-            raise FormulaError("tuple atoms require nonempty tuples")
-        if len(phi.left) != len(phi.right):
-            raise FormulaError(
-                f"tuple length mismatch: {len(phi.left)} vs {len(phi.right)}"
-            )
-        for v in phi.left + phi.right:
-            ftype.index(v)
-    elif isinstance(phi, (And, Or)):
-        validate(phi.left, ftype)
-        validate(phi.right, ftype)
-    elif isinstance(phi, (Forall, Exists)):
-        if phi.fixed != ftype.varset(phi.fixed):
-            raise FormulaError("variable set not in canonical order")
-        validate(phi.body, ftype)
-    elif isinstance(phi, Not):
-        validate(phi.body, ftype)
-    else:
-        raise FormulaError(f"unknown formula node {type(phi).__name__}")
+    for f in _postorder(phi):
+        if isinstance(f, RelLit):
+            ar = ftype.arity(f.rel)
+            if len(f.args) != ar:
+                raise FormulaError(
+                    f"relation {f.rel} expects {ar} arguments, got {len(f.args)}"
+                )
+            for v in f.args:
+                ftype.index(v)
+        elif isinstance(f, (Eq, Neq)):
+            ftype.index(f.left)
+            ftype.index(f.right)
+        elif isinstance(f, (Dep, Anon)):
+            if f.over != ftype.varset(f.over):
+                raise FormulaError("variable set not in canonical order")
+            ftype.index(f.target)
+        elif isinstance(f, (Incl, Excl, Ind, NInd)):
+            if not f.left or not f.right:
+                raise FormulaError("tuple atoms require nonempty tuples")
+            if len(f.left) != len(f.right):
+                raise FormulaError(
+                    f"tuple length mismatch: {len(f.left)} vs {len(f.right)}"
+                )
+            for v in f.left + f.right:
+                ftype.index(v)
+        elif isinstance(f, (Forall, Exists)):
+            if f.fixed != ftype.varset(f.fixed):
+                raise FormulaError("variable set not in canonical order")
+        elif not isinstance(f, (And, Or, Not)):
+            raise FormulaError(f"unknown formula node {type(f).__name__}")
 
 
 def is_nnf(phi: Formula) -> bool:
-    """Whether ``phi`` is Not-free.  Each distinct node object is visited
-    once, without recursion, so a shared DAG costs its node count."""
-    seen: set[int] = set()
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Not):
-            return False
-        if id(f) in seen:
-            continue
-        seen.add(id(f))
-        if isinstance(f, (And, Or)):
-            stack += (f.left, f.right)
-        elif isinstance(f, (Forall, Exists)):
-            stack.append(f.body)
-    return True
+    """Whether ``phi`` is Not-free."""
+    return not any(isinstance(f, Not) for f in _postorder(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -361,33 +376,43 @@ def free_vars(phi: Formula) -> frozenset[str]:
     """Free variables.  Quantifiers and dependence atoms expose only the
     variable set they fix; tuple atoms expose only their left tuple.
     ``Not`` is transparent."""
-    if isinstance(phi, RelLit):
-        return frozenset(phi.args)
-    if isinstance(phi, (Eq, Neq)):
-        return frozenset((phi.left, phi.right))
-    if isinstance(phi, (Dep, Anon)):
-        return frozenset(phi.over)
-    if isinstance(phi, (Incl, Excl, Ind, NInd)):
-        return frozenset(phi.left)
-    if isinstance(phi, (And, Or)):
-        return free_vars(phi.left) | free_vars(phi.right)
-    if isinstance(phi, (Forall, Exists)):
-        return frozenset(phi.fixed)
-    if isinstance(phi, Not):
-        return free_vars(phi.body)
-    raise FormulaError(f"unknown formula node {type(phi).__name__}")
+    fv: dict[int, frozenset[str]] = {}
+    for f in _postorder(phi):
+        if isinstance(f, RelLit):
+            v = frozenset(f.args)
+        elif isinstance(f, (Eq, Neq)):
+            v = frozenset((f.left, f.right))
+        elif isinstance(f, (Dep, Anon)):
+            v = frozenset(f.over)
+        elif isinstance(f, (Incl, Excl, Ind, NInd)):
+            v = frozenset(f.left)
+        elif isinstance(f, (And, Or)):
+            v = frozenset().union(*(fv[id(p)] for p in f.parts))
+        elif isinstance(f, (Forall, Exists)):
+            v = frozenset(f.fixed)
+        elif isinstance(f, Not):
+            v = fv[id(f.body)]
+        else:
+            raise FormulaError(f"unknown formula node {type(f).__name__}")
+        fv[id(f)] = v
+    return fv[id(phi)]
 
 
 def quantifier_rank(phi: Formula) -> int:
-    if isinstance(phi, ATOM_TYPES):
-        return 0
-    if isinstance(phi, (And, Or)):
-        return max(quantifier_rank(phi.left), quantifier_rank(phi.right))
-    if isinstance(phi, (Forall, Exists)):
-        return quantifier_rank(phi.body) + 1
-    if isinstance(phi, Not):
-        return quantifier_rank(phi.body)
-    raise FormulaError(f"unknown formula node {type(phi).__name__}")
+    rank: dict[int, int] = {}
+    for f in _postorder(phi):
+        if isinstance(f, ATOM_TYPES):
+            r = 0
+        elif isinstance(f, (And, Or)):
+            r = max(rank[id(p)] for p in f.parts)
+        elif isinstance(f, (Forall, Exists)):
+            r = rank[id(f.body)] + 1
+        elif isinstance(f, Not):
+            r = rank[id(f.body)]
+        else:
+            raise FormulaError(f"unknown formula node {type(f).__name__}")
+        rank[id(f)] = r
+    return rank[id(phi)]
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +458,8 @@ def to_nnf(phi: Formula, omega: OmegaProfile | None = None) -> Formula:
     def pos(f: Formula) -> Formula:
         if isinstance(f, Not):
             return neg(f.body)
-        if isinstance(f, And):
-            return And(pos(f.left), pos(f.right))
-        if isinstance(f, Or):
-            return Or(pos(f.left), pos(f.right))
+        if isinstance(f, (And, Or)):
+            return type(f)(*map(pos, f.parts))
         if isinstance(f, Forall):
             return Forall(f.fixed, pos(f.body))
         if isinstance(f, Exists):
@@ -447,9 +470,9 @@ def to_nnf(phi: Formula, omega: OmegaProfile | None = None) -> Formula:
         if isinstance(f, Not):
             return pos(f.body)
         if isinstance(f, And):
-            return Or(neg(f.left), neg(f.right))
+            return Or(*map(neg, f.parts))
         if isinstance(f, Or):
-            return And(neg(f.left), neg(f.right))
+            return And(*map(neg, f.parts))
         if isinstance(f, Forall):
             return Exists(f.fixed, neg(f.body))
         if isinstance(f, Exists):
@@ -523,18 +546,18 @@ class _Parser:
         return out
 
     def phi(self) -> Formula:
-        f = self.conj()
+        parts = [self.conjunction()]
         while self.peek() == "|":
             self.next()
-            f = Or(f, self.conj())
-        return f
+            parts.append(self.conjunction())
+        return disj(parts)
 
-    def conj(self) -> Formula:
-        f = self.unit()
+    def conjunction(self) -> Formula:
+        parts = [self.unit()]
         while self.peek() == "&":
             self.next()
-            f = And(f, self.unit())
-        return f
+            parts.append(self.unit())
+        return conj(parts)
 
     def unit(self) -> Formula:
         tok = self.peek()
@@ -701,23 +724,16 @@ def print_formula(phi: Formula) -> str:
 def _plan(phi: Formula, text: dict[int, str]):
     """How to render a non-atom ``phi``: a prefix, then a separator and the
     pieces it joins, each a child and whether it needs parentheses.  A
-    left-nested And or Or spine becomes one join, and a chain of
-    quantifier and negation prefixes one prefix, so that a long chain is
-    not copied once per node.  The descent stops at nodes whose text
-    already exists."""
-    # precedence levels: 0 = disjunction context, 1 = conjunction, 2 = unit;
-    # a disjunction needs parentheses above level 0, a conjunction above 1
-    if isinstance(phi, (And, Or)):
-        op = type(phi)
-        sep, left, right = (" & ", 1, 2) if op is And else (" | ", 0, 1)
-        pieces = []
-        while isinstance(phi, op) and id(phi) not in text:
-            pieces.append(phi.right)
-            phi = phi.left
-        pieces.append(phi)
-        pieces.reverse()
-        levels = [left] + [right] * (len(pieces) - 1)
-        return "", sep, [(c, _needs_parens(c, lv)) for c, lv in zip(pieces, levels)]
+    chain of quantifier and negation prefixes becomes one prefix, so that
+    a long chain is not copied once per node.  The descent stops at nodes
+    whose text already exists."""
+    # & binds tighter than |, so a disjunction's parts need parentheses only
+    # when they are disjunctions; those keep them, as do conjunctions in a
+    # conjunction, so that a nested junction parses back as a part of its own
+    if isinstance(phi, And):
+        return "", " & ", [(c, isinstance(c, (And, Or))) for c in phi.parts]
+    if isinstance(phi, Or):
+        return "", " | ", [(c, isinstance(c, Or)) for c in phi.parts]
     if isinstance(phi, (Forall, Exists, Not)):
         prefix = []
         while isinstance(phi, (Forall, Exists, Not)) and id(phi) not in text:
@@ -727,12 +743,8 @@ def _plan(phi: Formula, text: dict[int, str]):
                 q = "A" if isinstance(phi, Forall) else "E"
                 prefix.append(f"{q}[{' '.join(phi.fixed)}] ")
             phi = phi.body
-        return "".join(prefix), "", [(phi, _needs_parens(phi, 2))]
+        return "".join(prefix), "", [(phi, isinstance(phi, (And, Or)))]
     raise FormulaError(f"unknown formula node {type(phi).__name__}")
-
-
-def _needs_parens(phi: Formula, level: int) -> bool:
-    return isinstance(phi, Or) and level > 0 or isinstance(phi, And) and level > 1
 
 
 _ATOM_TEXT = {

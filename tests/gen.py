@@ -101,10 +101,10 @@ def reference_print(phi: Formula, level: int = 0) -> str:
     recursion limit."""
     p = reference_print
     if isinstance(phi, Or):
-        s = f"{p(phi.left, 0)} | {p(phi.right, 1)}"
+        s = " | ".join(p(part, 1) for part in phi.parts)
         return f"({s})" if level > 0 else s
     if isinstance(phi, And):
-        s = f"{p(phi.left, 1)} & {p(phi.right, 2)}"
+        s = " & ".join(p(part, 2) for part in phi.parts)
         return f"({s})" if level > 1 else s
     if isinstance(phi, Forall):
         return f"A[{' '.join(phi.fixed)}] {p(phi.body, 2)}"

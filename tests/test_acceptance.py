@@ -340,8 +340,8 @@ def test_criterion_8_reduction_suite():
 
             def walk(g):
                 if isinstance(g, (And, Or)):
-                    walk(g.left)
-                    walk(g.right)
+                    for part in g.parts:
+                        walk(part)
                 elif isinstance(g, (Forall, Exists)):
                     walk(g.body)
                 elif isinstance(g, Dep):

@@ -70,8 +70,8 @@ def test_base_case_singleton():
         from teamlogic.syntax import And
 
         if isinstance(f, And):
-            yield from conjuncts(f.left)
-            yield from conjuncts(f.right)
+            for part in f.parts:
+                yield from conjuncts(part)
         else:
             yield f
 
@@ -165,13 +165,8 @@ def test_single_variable_equality_profile():
 
 
 def _conjuncts(f):
-    """The conjuncts of a left-nested conjunction chain."""
-    out = []
-    while isinstance(f, And):
-        out.append(f.right)
-        f = f.left
-    out.append(f)
-    return out[::-1]
+    """The conjuncts of a conjunction."""
+    return list(f.parts) if isinstance(f, And) else [f]
 
 
 def test_pinned_texts_with_shared_rank_0_formulas():

@@ -4,29 +4,38 @@ import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gen
 from teamlogic import (
+    DependenceModel,
     OmegaProfile,
     PointedModel,
     bisimilarity,
     check,
     char_formula,
+    disjoint_union,
     dump_model,
+    guarded_translation,
     load_model,
+    materialize_fo_team,
+    modal_translation,
+    parse_fo,
     parse_formula,
+    print_fo,
     print_formula,
     parse_kahr,
     reduce_to_equality,
     reduce_to_inclusion,
+    standard_translation,
     to_nnf,
     variable_distinguished,
 )
 from teamlogic.cli import build_parser, main
-from teamlogic.syntax import LFD, Incl
+from teamlogic.syntax import LFD, Dep, conj, disj
 
 
 @pytest.fixture
@@ -223,9 +232,10 @@ BAD_INPUTS = {
                              "--depth", "-3", "--omega", "D,Y"],
     "out-missing-dir": ["check", "--model", "{dm}", "--formula", "D[y] x",
                         "--at", "1 1 0", "--out", "{missing}"],
-    "formula-3000-conjuncts": ["check", "--model", "{dm}",
-                               "--formula", " & ".join(["D[y] x"] * 3000),
-                               "--at", "1 1 0"],
+    # the parser still recurses on nested parentheses
+    "formula-3000-parentheses": ["check", "--model", "{dm}", "--formula",
+                                 "(" * 3000 + "D[y] x" + ")" * 3000,
+                                 "--at", "1 1 0"],
 }
 
 
@@ -241,6 +251,21 @@ def test_bad_input_exits_2(argv, dm_path, tmp_path, capsys):
         rc = e.code
     assert rc == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("op", [" & ", " | "], ids=["conjuncts", "disjuncts"])
+def test_long_flat_junction_is_checked(op, dm_path, capsys):
+    """100,000 atoms joined by one connective parse, convert to NNF and
+    check through main() without hitting the recursion limit, and the exit
+    code is the library's answer."""
+    atoms = [Dep(("y",), "x"), Dep(("x",), "y")] * 50_000
+    formula = op.join(map(print_formula, atoms))
+    rc = main(["check", "--model", dm_path, "--formula", formula,
+               "--at", "1 1 0"])
+    assert "error" not in capsys.readouterr().err
+    model = gen.ex_local_dep()
+    phi = conj(atoms) if op == " & " else disj(atoms)
+    assert rc == (0 if check(phi, model, ("1", "1", "0")).value else 1)
 
 
 def test_unexpected_exception_exits_2(dm_path, monkeypatch, capsys):
@@ -275,12 +300,18 @@ end
 FUZZ_ROWS = ("0 0 0", "1 1 0", "1 2 1", "2 2 1")
 FUZZ_FORMULAS = ("A[] E[] D[y] x", "E[x] (in(x y ; y z) & !E(x y))",
                  "~(Ind[x](y z) | x != z)", "A[y] (P(x) | notin(z ; x))")
+FUZZ_STRUCTURE = FUZZ_DM[: FUZZ_DM.index("team\n")]
+FUZZ_TEAM_FO = ("E(x y) | x = z", "~P(y) -> exists w. E(w z)",
+                "x != y & (P(x) | y = z)")
 FUZZ_KAHR = ("binary E\nmonadic P\nmatrix E(x y) | (P(z) & !E(y z))\n",
              "binary R\nmatrix !R(x x) & (R(x y) | R(z y))\n")
 FUZZ_TOKENS = ("x", "y", "z", "0", "1", "2", "3", " ", "\n", "(", ")", "[", "]",
                ";", ",", "&", "|", "!", "~", "=", "!=", "D", "Y", "E", "A",
                "in", "notin", "Ind", "nInd", "P", "rel", "vars", "team", "end",
-               "-", "fix", "binary", "monadic", "matrix", "#")
+               "-", "fix", "binary", "monadic", "matrix", "#", ".", "->",
+               "exists", "forall")
+FUZZ_COMMANDS = ("check", "check --team-fo", "bisim", "reduce", "charform",
+                 "translate", "vd", "union")
 
 
 def _mutate(rng, text):
@@ -298,47 +329,64 @@ def _omega(spec):
     return OmegaProfile(frozenset(spec.replace(",", " ").split()))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.integers(0, 10**9))
 def test_cli_fuzz_exit_contract(tmp_path_factory, seed):
-    """On mutated model, formula and Kahr text and flags, check, bisim and
-    reduce exit 0, 1 or 2 without a traceback; 0 or 1 agrees with the
-    library, and reduce, which answers no query, never exits 1."""
+    """On mutated model, formula, FO and Kahr text and flags, every command
+    exits 0, 1 or 2 without a traceback.  A query's 0 or 1 agrees with the
+    library; the other commands never exit 1 and print what the library
+    returns, and a printed characteristic formula parses back to it."""
     rng = random.Random(seed)
     target = rng.choice(
-        ("dm", "formula", "kahr", "at", "omega", "depth", "argv", None)
+        ("dm", "formula", "fo", "kahr", "at", "omega", "depth", "argv", None)
     )
 
     def pick(name, choices):
         text = rng.choice(choices)
         return _mutate(rng, text) if name == target else text
 
+    command = rng.choice(FUZZ_COMMANDS)
     path = tmp_path_factory.mktemp("fuzz") / "m.dm"
-    text = pick("dm", (FUZZ_DM,))
+    text = pick("dm", (FUZZ_STRUCTURE if command == "check --team-fo" else FUZZ_DM,))
     path.write_text(text)
-    command = rng.choice(("check", "bisim", "reduce"))
     at = pick("at", FUZZ_ROWS)
     omega = pick("omega", ("D,Y", "=,!=,in,notin", "Ind nInd"))
+    formula = pick("formula", FUZZ_FORMULAS)
     if command == "check":
-        formula = pick("formula", FUZZ_FORMULAS)
         argv = ["check", "--model", str(path), "--formula", formula, "--at", at]
         if rng.random() < 0.3:
             argv += ["--omega", omega]
+    elif command == "check --team-fo":
+        argv = ["check", "--model", str(path), "--formula", formula, "--at", at,
+                "--team-fo", pick("fo", FUZZ_TEAM_FO)]
     elif command == "bisim":
         depth = pick("depth", ("0", "2", "fix"))
         other = rng.choice(FUZZ_ROWS)
         argv = ["bisim", "--left", str(path), "--right", str(path),
                 "--at-left", at, "--at-right", other, "--omega", omega,
                 "--depth", depth]
-    else:
+    elif command == "reduce":
         kahr = path.with_suffix(".kahr")
         kahr.write_text(pick("kahr", FUZZ_KAHR))
         argv = ["reduce", str(kahr), "--target", rng.choice(("incl", "eq"))]
+    elif command == "charform":
+        # chi^3 prints about 50 MB on this model, so the depth is never
+        # mutated; 5 meets the depth guard
+        argv = ["charform", "--model", str(path), "--at", at, "--depth",
+                rng.choice(("0", "1", "5")), "--omega", omega]
+    elif command == "translate":
+        argv = ["translate", "--mode", rng.choice(("standard", "modal", "guarded")),
+                "--model", str(path), "--formula", formula]
+    elif command == "vd":
+        argv = ["vd", "--model", str(path)]
+    else:
+        argv = ["union", "--left", str(path), "--right", str(path)]
     if target == "argv":
-        i = rng.randrange(len(argv))
+        i = rng.choice([n for n in range(len(argv)) if argv[n - 1] != "--depth"
+                        or command != "charform"])
         argv[i : i + 1] = rng.choice(([], argv[i : i + 1] * 2, [_mutate(rng, argv[i])]))
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             rc = main(argv)
         except SystemExit as e:  # argparse rejects a bad flag this way
@@ -348,18 +396,51 @@ def test_cli_fuzz_exit_contract(tmp_path_factory, seed):
     if rc == 2:
         return
     args = build_parser().parse_args(argv)
-    if args.command == "reduce":
-        assert rc == 0
-        return
-    model = load_model(text)
     if args.command == "check":
+        if args.team_fo is None:
+            model = load_model(text)
+        else:
+            structure, ftype = load_model(text, require_team=False)
+            team = parse_fo(args.team_fo, ftype.variables)
+            model = materialize_fo_team(structure, ftype, team).model
         phi = to_nnf(parse_formula(args.formula, model.ftype))
         answer = check(phi, model, tuple(args.at.split())).value
-    else:
+    elif args.command == "bisim":
+        model = load_model(text)
         answer = bisimilarity(PointedModel(model, tuple(args.at_left.split())),
                               PointedModel(model, tuple(args.at_right.split())),
                               _omega(args.omega), args.depth).related
+    else:
+        assert rc == 0
+        assert out.getvalue().rstrip("\n") == _library_text(args, text).rstrip("\n")
+        return
     assert answer == (rc == 0)
+
+
+def _library_text(args, text):
+    """What a command that answers no query prints, through the library."""
+    if args.command == "reduce":
+        psi = parse_kahr(Path(args.kahr).read_text())
+        encode = reduce_to_inclusion if args.target == "incl" else reduce_to_equality
+        return print_formula(encode(psi))
+    if args.command == "translate":
+        loaded = load_model(text, require_team=False)
+        ftype = loaded.ftype if isinstance(loaded, DependenceModel) else loaded[1]
+        phi = to_nnf(parse_formula(args.formula, ftype))
+        if args.mode == "standard":
+            return print_fo(standard_translation(phi, ftype))
+        if args.mode == "modal":
+            return print_fo(modal_translation(phi))
+        return print_fo(guarded_translation(phi, ftype))
+    model = load_model(text)
+    if args.command == "charform":
+        chi = char_formula(model, tuple(args.at.split()), args.depth, _omega(args.omega))
+        printed = print_formula(chi)
+        assert parse_formula(printed, model.ftype) == chi
+        return printed
+    if args.command == "vd":
+        return dump_model(variable_distinguished(model)[0])
+    return dump_model(disjoint_union(model, model))
 
 
 def test_closed_output_pipe_exits_2(dm_path, monkeypatch):

@@ -14,7 +14,6 @@ from teamlogic import (
     OmegaProfile,
     TranslationError,
     build_standard_relational_model,
-    build_theta,
     eval_fo,
     expand,
     guarded_translation,
@@ -133,22 +132,6 @@ def test_guarded_translation_rejects_other_atoms():
     ftype = FiniteType((), ("x", "y"))
     with pytest.raises(TranslationError):
         guarded_translation(Eq("x", "y"), ftype)
-
-
-def test_build_theta():
-    model = gen.ex_local_dep()
-    structure = expand(model)
-    theta, left, right = build_theta(("y",), model.ftype)
-    for s in model.team:
-        for t in model.team:
-            env = dict(zip(left, s))
-            env.update(zip(right, t))
-            expected = model.agree(s, t, ("y",))
-            assert eval_fo(theta, structure, env) == expected
-    # non-rows never satisfy the guard
-    env = dict(zip(left, ("0", "1", "2")))
-    env.update(zip(right, model.team[0]))
-    assert not eval_fo(theta, structure, env)
 
 
 def test_modal_translation_rejects_equality():

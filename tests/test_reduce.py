@@ -52,8 +52,8 @@ def _atom_census(phi):
 
     def walk(f):
         if isinstance(f, (And, Or)):
-            walk(f.left)
-            walk(f.right)
+            for part in f.parts:
+                walk(part)
         elif isinstance(f, (Forall, Exists)):
             walk(f.body)
         elif isinstance(f, Dep):

@@ -70,10 +70,10 @@ def test_parse_basic_atoms():
 def test_parse_quantifiers_and_precedence():
     phi = parse_formula("E[x] P(y) & P(x) | D[] z", FT)
     # & over |, quantifier binds one unit
-    assert isinstance(phi, Or)
-    assert isinstance(phi.left, And)
-    assert phi.left.left == Exists(("x",), RelLit(True, "P", ("y",)))
-    assert phi.right == Dep((), "z")
+    assert phi == Or(
+        And(Exists(("x",), RelLit(True, "P", ("y",))), RelLit(True, "P", ("x",))),
+        Dep((), "z"),
+    )
 
 
 def test_parse_canonicalizes_variable_sets():
@@ -155,8 +155,8 @@ def test_printer_long_chains():
 
 
 def test_is_nnf_on_shared_dag():
-    """is_nnf visits each node object once: 64 levels of And(f, f) have
-    2^64 tree nodes."""
+    """is_nnf, validate, free_vars, quantifier_rank and infer_omega visit
+    each node object once: 64 levels of And(f, f) have 2^64 tree nodes."""
     bottom = Eq("x", "x")
     f, g = bottom, Not(bottom)
     for _ in range(64):
@@ -167,6 +167,34 @@ def test_is_nnf_on_shared_dag():
         assert not is_nnf(h)
     model = gen.ex_local_dep()
     assert check(f, model, model.team[0]).value
+    top = Or(Exists(("y",), g), Dep(("x",), "y"))
+    validate(top, FT)
+    assert free_vars(top) == {"x", "y"}
+    assert quantifier_rank(top) == 1
+    assert infer_omega(top).kinds == {KIND_D, "="}
+    with pytest.raises(FormulaError):
+        validate(And(f, Exists(("w",), g)), FT)
+
+
+def test_nested_junction_keeps_its_parentheses():
+    """A junction that is a part of one of the same kind prints in
+    parentheses and parses back as a part of its own; an unparenthesised
+    chain parses into one node."""
+    a, b, c = Eq("x", "y"), RelLit(True, "P", ("x",)), Dep((), "z")
+    cases = {
+        "(x = y & P(x)) & D[] z": And(And(a, b), c),
+        "x = y & (P(x) & D[] z)": And(a, And(b, c)),
+        "(x = y | P(x)) | D[] z": Or(Or(a, b), c),
+        "x = y & P(x) & D[] z": And(a, b, c),
+        "x = y | P(x) & D[] z | x = y": Or(a, And(b, c), a),
+        "(x = y | P(x)) & D[] z": And(Or(a, b), c),
+    }
+    for text, phi in cases.items():
+        assert print_formula(phi) == text
+        assert parse_formula(text, FT) == phi
+    for junction in (And, Or):
+        with pytest.raises(FormulaError):
+            junction(a)
 
 
 @settings(max_examples=200, deadline=None)
