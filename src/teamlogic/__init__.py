@@ -46,7 +46,6 @@ from .model import (
     full_team,
     load_model,
     materialize_fo_team,
-    project,
     variable_distinguished,
 )
 from .reduce import (

@@ -119,17 +119,6 @@ def canonical_atoms(ftype: FiniteType, omega: OmegaProfile) -> list[Formula]:
     return atoms
 
 
-def atom_truth_table(
-    model: DependenceModel, atoms: list[Formula]
-) -> list[tuple[bool, ...]]:
-    """Per team row, the truth vector of the atom family."""
-    ev = Evaluator(model)
-    masks = [ev.mask(a) for a in atoms]
-    return [
-        tuple(bool(m >> i & 1) for m in masks) for i in range(len(model.team))
-    ]
-
-
 class _Rows:
     """The rows of two teams of one type, numbered left rows first, with
     the X-blocks of both teams for every variable set X."""

@@ -1,6 +1,15 @@
 """First-order ASTs, a Tarski evaluator over finite structures, and the
 translations from local team logic into first-order logic.
 
+``FOAnd`` and ``FOOr`` are n-ary, like ``And`` and ``Or`` in
+:mod:`teamlogic.syntax`, whose constructor they share: each holds a tuple
+of two or more parts.  :func:`conj` and :func:`disj` build one node from
+a list, the parser collects an unparenthesised ``a & b & c`` into one
+node, and the printer keeps the parentheses of a junction that is a part
+of one of the same kind, so ``parse_fo(print_fo(psi)) == psi`` is exact.
+A flat chain of any length is one level deep in every walk here.
+The parser reads its tokens through the scanner of the formula parser.
+
 The evaluator is deliberately naive (exhaustive quantifier expansion with
 short-circuiting): it serves as the trusted oracle against which the team
 checker is validated, so simplicity beats speed.
@@ -13,7 +22,6 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping, Union
 
-from . import syntax
 from .syntax import (
     And,
     Anon,
@@ -32,6 +40,9 @@ from .syntax import (
     Not,
     Or,
     RelLit,
+    _Junction,
+    _postorder,
+    _Scanner,
 )
 
 
@@ -91,16 +102,18 @@ class FONot(FOFormula):
     body: FOFormula
 
 
-@dataclass(frozen=True)
-class FOAnd(FOFormula):
-    left: FOFormula
-    right: FOFormula
+@dataclass(frozen=True, init=False)
+class FOAnd(_Junction, FOFormula):
+    """Conjunction of two or more parts: ``FOAnd(a, b, c)``."""
+
+    parts: tuple[FOFormula, ...]
 
 
-@dataclass(frozen=True)
-class FOOr(FOFormula):
-    left: FOFormula
-    right: FOFormula
+@dataclass(frozen=True, init=False)
+class FOOr(_Junction, FOFormula):
+    """Disjunction of two or more parts: ``FOOr(a, b, c)``."""
+
+    parts: tuple[FOFormula, ...]
 
 
 @dataclass(frozen=True)
@@ -122,53 +135,54 @@ class FOExists(FOFormula):
 
 
 def conj(parts: Iterable[FOFormula]) -> FOFormula:
-    parts = list(parts)
-    if not parts:
-        return FOTrue()
-    out = parts[0]
-    for p in parts[1:]:
-        out = FOAnd(out, p)
-    return out
+    """``true`` for no parts, the only part, or one ``FOAnd``."""
+    parts = tuple(parts)
+    if len(parts) < 2:
+        return parts[0] if parts else FOTrue()
+    return FOAnd(*parts)
 
 
 def disj(parts: Iterable[FOFormula]) -> FOFormula:
-    parts = list(parts)
-    if not parts:
-        return FOFalse()
-    out = parts[0]
-    for p in parts[1:]:
-        out = FOOr(out, p)
-    return out
+    """``false`` for no parts, the only part, or one ``FOOr``."""
+    parts = tuple(parts)
+    if len(parts) < 2:
+        return parts[0] if parts else FOFalse()
+    return FOOr(*parts)
 
 
 def free_variables(psi: FOFormula) -> frozenset[str]:
-    if isinstance(psi, (FOTrue, FOFalse)):
-        return frozenset()
-    if isinstance(psi, FORel):
-        return frozenset(t.name for t in psi.args if isinstance(t, Var))
-    if isinstance(psi, FOEq):
-        return frozenset(
-            t.name for t in (psi.left, psi.right) if isinstance(t, Var)
-        )
-    if isinstance(psi, FONot):
-        return free_variables(psi.body)
-    if isinstance(psi, (FOAnd, FOOr, FOImplies)):
-        return free_variables(psi.left) | free_variables(psi.right)
-    if isinstance(psi, (FOForall, FOExists)):
-        return free_variables(psi.body) - frozenset(psi.vars)
-    raise EvalError(f"unknown node {type(psi).__name__}")
+    return _free(psi, [])
 
 
 def max_free_vars(psi: FOFormula) -> int:
     """Maximal number of free variables over all subformulas."""
-    best = len(free_variables(psi))
-    if isinstance(psi, FONot):
-        return max(best, max_free_vars(psi.body))
-    if isinstance(psi, (FOAnd, FOOr, FOImplies)):
-        return max(best, max_free_vars(psi.left), max_free_vars(psi.right))
-    if isinstance(psi, (FOForall, FOExists)):
-        return max(best, max_free_vars(psi.body))
-    return best
+    widths: list[int] = []
+    _free(psi, widths)
+    return max(widths)
+
+
+def _free(psi: FOFormula, widths: list[int]) -> frozenset[str]:
+    """The free variables of ``psi``; appends the free-variable count of
+    every subformula to ``widths``."""
+    t = type(psi)
+    if t is FORel:
+        out = frozenset([a.name for a in psi.args if type(a) is Var])
+    elif t is FOAnd or t is FOOr:
+        out = frozenset().union(*[_free(p, widths) for p in psi.parts])
+    elif t is FONot:
+        out = _free(psi.body, widths)
+    elif t is FOEq:
+        out = frozenset([a.name for a in (psi.left, psi.right) if type(a) is Var])
+    elif t is FOForall or t is FOExists:
+        out = _free(psi.body, widths).difference(psi.vars)
+    elif t is FOImplies:
+        out = _free(psi.left, widths) | _free(psi.right, widths)
+    elif t is FOTrue or t is FOFalse:
+        out = frozenset()
+    else:
+        raise EvalError(f"unknown node {t.__name__}")
+    widths.append(len(out))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -180,39 +194,46 @@ def eval_fo(psi: FOFormula, structure, env: Mapping[str, str]) -> bool:
     free variables to element tokens."""
 
     def term(t: Term, env) -> str:
-        if isinstance(t, Const):
+        if type(t) is Const:
             return t.token
         try:
             return env[t.name]
         except KeyError:
             raise EvalError(f"unbound variable {t.name!r}") from None
 
+    # exact type tests, most frequent node first: this runs once per node
+    # and assignment when a team definition is materialised
     def rec(f: FOFormula, env) -> bool:
-        if isinstance(f, FOTrue):
+        t = type(f)
+        if t is FORel:
+            return structure.holds(f.rel, tuple([term(a, env) for a in f.args]))
+        if t is FOAnd:
+            for p in f.parts:
+                if not rec(p, env):
+                    return False
             return True
-        if isinstance(f, FOFalse):
+        if t is FOOr:
+            for p in f.parts:
+                if rec(p, env):
+                    return True
             return False
-        if isinstance(f, FORel):
-            return structure.holds(f.rel, tuple(term(t, env) for t in f.args))
-        if isinstance(f, FOEq):
-            return term(f.left, env) == term(f.right, env)
-        if isinstance(f, FONot):
+        if t is FONot:
             return not rec(f.body, env)
-        if isinstance(f, FOAnd):
-            return rec(f.left, env) and rec(f.right, env)
-        if isinstance(f, FOOr):
-            return rec(f.left, env) or rec(f.right, env)
-        if isinstance(f, FOImplies):
-            return (not rec(f.left, env)) or rec(f.right, env)
-        if isinstance(f, (FOForall, FOExists)):
-            want = isinstance(f, FOExists)
+        if t is FOEq:
+            return term(f.left, env) == term(f.right, env)
+        if t is FOForall or t is FOExists:
+            want = t is FOExists
             for values in product(structure.universe, repeat=len(f.vars)):
                 inner = dict(env)
                 inner.update(zip(f.vars, values))
                 if rec(f.body, inner) == want:
                     return want
             return not want
-        raise EvalError(f"unknown node {type(f).__name__}")
+        if t is FOImplies:
+            return (not rec(f.left, env)) or rec(f.right, env)
+        if t is FOTrue or t is FOFalse:
+            return t is FOTrue
+        raise EvalError(f"unknown node {t.__name__}")
 
     return rec(psi, dict(env))
 
@@ -221,8 +242,6 @@ def eval_fo(psi: FOFormula, structure, env: Mapping[str, str]) -> bool:
 # text form
 
 _FO_TOKEN_RE = re.compile(r"\s*(!=|->|[()=~.,&|]|[A-Za-z0-9_\[\]:@'#-]+)")
-
-_FO_KEYWORDS = {"forall", "exists", "true", "false"}
 
 
 def print_fo(psi: FOFormula) -> str:
@@ -238,11 +257,13 @@ def _print_fo(psi: FOFormula, level: int) -> str:
     if isinstance(psi, FOImplies):
         s = f"{_print_fo(psi.left, 1)} -> {_print_fo(psi.right, 0)}"
         return f"({s})" if level > 0 else s
+    # a part that is a junction of its parent's kind keeps its parentheses,
+    # so that it parses back as a part of its own
     if isinstance(psi, FOOr):
-        s = f"{_print_fo(psi.left, 1)} | {_print_fo(psi.right, 2)}"
+        s = " | ".join([_print_fo(p, 2) for p in psi.parts])
         return f"({s})" if level > 1 else s
     if isinstance(psi, FOAnd):
-        s = f"{_print_fo(psi.left, 2)} & {_print_fo(psi.right, 3)}"
+        s = " & ".join([_print_fo(p, 3) for p in psi.parts])
         return f"({s})" if level > 2 else s
     if isinstance(psi, FOForall):
         return f"forall {' '.join(psi.vars)} . {_print_fo(psi.body, 3)}"
@@ -261,42 +282,10 @@ def _print_fo(psi: FOFormula, level: int) -> str:
     raise EvalError(f"unknown node {type(psi).__name__}")
 
 
-class _FOParser:
+class _FOParser(_Scanner):
     def __init__(self, text: str, variables: frozenset[str]):
-        self.text = text
+        super().__init__(text, _FO_TOKEN_RE, TranslationError)
         self.variables = variables
-        self.tokens: list[tuple[str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _FO_TOKEN_RE.match(text, pos)
-            if m is None:
-                if text[pos:].strip():
-                    raise TranslationError(
-                        f"syntax error at position {pos}: unexpected {text[pos]!r}"
-                    )
-                break
-            self.tokens.append((m.group(1), m.start(1)))
-            pos = m.end()
-        self.i = 0
-
-    def error(self, msg: str) -> TranslationError:
-        at = self.tokens[self.i][1] if self.i < len(self.tokens) else len(self.text)
-        return TranslationError(f"syntax error at position {at}: {msg}")
-
-    def peek(self) -> str | None:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
-    def next(self) -> str:
-        if self.i >= len(self.tokens):
-            raise self.error("unexpected end of input")
-        tok = self.tokens[self.i][0]
-        self.i += 1
-        return tok
-
-    def expect(self, tok: str):
-        got = self.next()
-        if got != tok:
-            raise self.error(f"expected {tok!r}, got {got!r}")
 
     def term_of(self, tok: str) -> Term:
         return Var(tok) if tok in self.variables else Const(tok)
@@ -309,18 +298,18 @@ class _FOParser:
         return f
 
     def disj(self) -> FOFormula:
-        f = self.conj()
+        parts = [self.conj()]
         while self.peek() == "|":
             self.next()
-            f = FOOr(f, self.conj())
-        return f
+            parts.append(self.conj())
+        return disj(parts)
 
     def conj(self) -> FOFormula:
-        f = self.unit()
+        parts = [self.unit()]
         while self.peek() == "&":
             self.next()
-            f = FOAnd(f, self.unit())
-        return f
+            parts.append(self.unit())
+        return conj(parts)
 
     def unit(self) -> FOFormula:
         tok = self.peek()
@@ -372,8 +361,7 @@ def parse_fo(text: str, variables: Iterable[str]) -> FOFormula:
     variables; any other identifier is an element constant."""
     p = _FOParser(text, frozenset(variables))
     f = p.fo()
-    if p.peek() is not None:
-        raise p.error(f"trailing input {p.peek()!r}")
+    p.expect_end()
     return f
 
 
@@ -531,24 +519,9 @@ class StandardRelationalModel:
     structure: "object"
     row_names: tuple[str, ...]
 
-    def name_of(self, row_index: int) -> str:
-        return self.row_names[row_index]
-
 
 def _relational_atoms(phi: Formula) -> set[tuple[str, tuple[str, ...]]]:
-    out: set[tuple[str, tuple[str, ...]]] = set()
-
-    def walk(f: Formula):
-        if isinstance(f, RelLit):
-            out.add((f.rel, f.args))
-        elif isinstance(f, (And, Or)):
-            for p in f.parts:
-                walk(p)
-        elif isinstance(f, (Forall, Exists, Not)):
-            walk(f.body)
-
-    walk(phi)
-    return out
+    return {(f.rel, f.args) for f in _postorder(phi) if isinstance(f, RelLit)}
 
 
 def build_standard_relational_model(model, phi: Formula) -> StandardRelationalModel:
@@ -590,8 +563,10 @@ def modal_translation(phi: Formula, state_var: str = "w0") -> FOFormula:
     def fresh(depth: int) -> str:
         return f"w{depth}"
 
-    def agree(a: str, b: str, xs: Iterable[str]) -> FOFormula:
-        return conj(FORel(_sim(x), (Var(a), Var(b))) for x in xs)
+    def agree(a: str, b: str, xs: Iterable[str]) -> list[FOFormula]:
+        """The conjuncts stating that a and b agree on xs; ``true`` for
+        no variable."""
+        return [FORel(_sim(x), (Var(a), Var(b))) for x in xs] or [FOTrue()]
 
     def tr(f: Formula, cur: str, depth: int) -> FOFormula:
         if isinstance(f, RelLit):
@@ -601,7 +576,10 @@ def modal_translation(phi: Formula, state_var: str = "w0") -> FOFormula:
             t = fresh(depth + 1)
             out = FOForall(
                 (t,),
-                FOImplies(agree(t, cur, f.over), FORel(_sim(f.target), (Var(t), Var(cur)))),
+                FOImplies(
+                    conj(agree(t, cur, f.over)),
+                    FORel(_sim(f.target), (Var(t), Var(cur))),
+                ),
             )
             return out if isinstance(f, Dep) else FONot(out)
         if isinstance(f, (Ind, NInd)):
@@ -611,9 +589,12 @@ def modal_translation(phi: Formula, state_var: str = "w0") -> FOFormula:
                 (t,),
                 FOExists(
                     (u,),
+                    # prints as a1 & ... & (b1 & ...): the agreement on the
+                    # left tuple joins the conjunction, the one on the right
+                    # stays a part of its own
                     FOAnd(
-                        agree(cur, u, dict.fromkeys(f.left)),
-                        agree(u, t, dict.fromkeys(f.right)),
+                        *agree(cur, u, dict.fromkeys(f.left)),
+                        conj(agree(u, t, dict.fromkeys(f.right))),
                     ),
                 ),
             )
@@ -630,8 +611,8 @@ def modal_translation(phi: Formula, state_var: str = "w0") -> FOFormula:
             t = fresh(depth + 1)
             inner = tr(f.body, t, depth + 1)
             if isinstance(f, Forall):
-                return FOForall((t,), FOImplies(agree(t, cur, f.fixed), inner))
-            return FOExists((t,), FOAnd(agree(t, cur, f.fixed), inner))
+                return FOForall((t,), FOImplies(conj(agree(t, cur, f.fixed)), inner))
+            return FOExists((t,), FOAnd(*agree(t, cur, f.fixed), inner))
         if isinstance(f, Not):
             raise TranslationError("translation requires a Not-free formula")
         raise TranslationError(f"unknown formula node {type(f).__name__}")

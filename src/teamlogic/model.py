@@ -87,9 +87,6 @@ class DependenceModel:
         except KeyError:
             raise ModelError(f"assignment {s} outside team") from None
 
-    def value(self, s: Assignment, var: str) -> str:
-        return s[self.ftype.index(var)]
-
     def values(self, s: Assignment, xs: Iterable[str]) -> tuple[str, ...]:
         return tuple(s[self.ftype.index(x)] for x in xs)
 
@@ -208,12 +205,6 @@ def dump_model(model: DependenceModel) -> str:
 
 # ---------------------------------------------------------------------------
 # transformations
-
-
-def project(model: DependenceModel, xs: tuple[str, ...]) -> set[tuple[str, ...]]:
-    """The value set of the variable tuple over the team."""
-    idx = [model.ftype.index(x) for x in xs]
-    return {tuple(row[i] for i in idx) for row in model.team}
 
 
 def full_team(

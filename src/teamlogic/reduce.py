@@ -173,31 +173,16 @@ def reduce_to_equality(psi: KahrSentence) -> Formula:
     return out
 
 
-def _matrix_fo(phi: Formula) -> fo.FOFormula:
-    if isinstance(phi, RelLit):
-        atom = fo.FORel(phi.rel, tuple(fo.Var(a) for a in phi.args))
-        return atom if phi.positive else fo.FONot(atom)
-    if isinstance(phi, And):
-        return fo.conj(map(_matrix_fo, phi.parts))
-    if isinstance(phi, Or):
-        return fo.disj(map(_matrix_fo, phi.parts))
-    raise ReduceError(f"unexpected matrix node {type(phi).__name__}")
-
-
 def kahr_fo_sentence(psi: KahrSentence) -> fo.FOFormula:
     """The sentence itself, as a closed first-order formula."""
-    return fo.FOForall(
-        ("x",),
-        fo.FOExists(("y",), fo.FOForall(("z",), _matrix_fo(psi.matrix))),
-    )
+    matrix = fo.standard_translation(psi.matrix, psi.matrix_type())
+    return fo.FOForall(("x",), fo.FOExists(("y",), fo.FOForall(("z",), matrix)))
 
 
 def _matrix_holds(
-    psi: KahrSentence, structure: Structure, a: str, b: str, c: str
+    matrix: fo.FOFormula, structure: Structure, a: str, b: str, c: str
 ) -> bool:
-    return fo.eval_fo(
-        _matrix_fo(psi.matrix), structure, {"x": a, "y": b, "z": c}
-    )
+    return fo.eval_fo(matrix, structure, {"x": a, "y": b, "z": c})
 
 
 def witness_model(
@@ -212,9 +197,10 @@ def witness_model(
     for a in A:
         if a not in f or f[a] not in set(A):
             raise ReduceError(f"skolem table not total at {a!r}")
+    matrix = fo.standard_translation(psi.matrix, psi.matrix_type())
     for a in A:
         for b in A:
-            if not _matrix_holds(psi, structure, a, f[a], b):
+            if not _matrix_holds(matrix, structure, a, f[a], b):
                 raise ReduceError(
                     f"skolem verification failed: matrix false at ({a!r},{f[a]!r},{b!r})"
                 )
@@ -276,9 +262,10 @@ def extract_classical_model(
         for name, rows in model.structure.relations.items()
     }
     restricted = Structure(tuple(orbit), relations)
+    matrix = fo.standard_translation(psi.matrix, psi.matrix_type())
     for a in orbit:
         for b in orbit:
-            if not _matrix_holds(psi, restricted, a, f[a], b):
+            if not _matrix_holds(matrix, restricted, a, f[a], b):
                 raise ReduceError(
                     f"extracted model fails the matrix at ({a!r},{f[a]!r},{b!r})"
                 )

@@ -16,7 +16,11 @@ Not-free form produced by :func:`to_nnf`.
 
 The walkers here (validation, free variables, rank, profile inference,
 ``is_nnf``) visit each distinct node object once, without recursion, so
-a formula DAG with shared subformulas costs its node count.
+a formula DAG with shared subformulas costs its node count; ``to_nnf``
+converts each distinct node once per polarity and keeps the sharing.
+
+The junction constructor and the token scanner here serve the
+first-order AST and parser of :mod:`teamlogic.fo` as well.
 """
 
 from __future__ import annotations
@@ -149,8 +153,11 @@ class NInd(Formula):
     right: tuple[str, ...]
 
 
-class _Junction(Formula):
-    """The constructor shared by the n-ary ``And`` and ``Or``."""
+class _Junction:
+    """The constructor shared by the n-ary junctions of both ASTs: ``And``
+    and ``Or`` here, ``FOAnd`` and ``FOOr`` in :mod:`teamlogic.fo`.  It is
+    not a :class:`Formula`, so node type tests see only the AST a junction
+    belongs to."""
 
     __slots__ = ()
 
@@ -161,14 +168,14 @@ class _Junction(Formula):
 
 
 @dataclass(frozen=True, init=False)
-class And(_Junction):
+class And(_Junction, Formula):
     """Conjunction of two or more parts: ``And(a, b, c)``."""
 
     parts: tuple[Formula, ...]
 
 
 @dataclass(frozen=True, init=False)
-class Or(_Junction):
+class Or(_Junction, Formula):
     """Disjunction of two or more parts: ``Or(a, b, c)``."""
 
     parts: tuple[Formula, ...]
@@ -450,36 +457,36 @@ def to_nnf(phi: Formula, omega: OmegaProfile | None = None) -> Formula:
     """Eliminate ``Not`` by pushing negation to the atoms.
 
     ``omega`` bounds the atom kinds that negation may produce; it defaults
-    to the full profile.
+    to the full profile.  Each node object is converted once per polarity,
+    so a shared DAG stays shared and costs its node count.
     """
     if omega is None:
         omega = OmegaProfile.full()
+    # per polarity, id(node) -> its converted form, for the junctions and
+    # quantifiers; the nodes stay alive inside phi for the whole call, so
+    # their ids are not reused
+    memo: tuple[dict[int, Formula], dict[int, Formula]] = ({}, {})
 
-    def pos(f: Formula) -> Formula:
-        if isinstance(f, Not):
-            return neg(f.body)
-        if isinstance(f, (And, Or)):
-            return type(f)(*map(pos, f.parts))
-        if isinstance(f, Forall):
-            return Forall(f.fixed, pos(f.body))
-        if isinstance(f, Exists):
-            return Exists(f.fixed, pos(f.body))
-        return f
+    def nnf(f: Formula, positive: bool) -> Formula:
+        t = type(f)
+        if t is Not:
+            return nnf(f.body, not positive)
+        if t not in _DUAL:
+            return f if positive else negate_atom(f, omega)
+        out = memo[positive].get(id(f))
+        if out is None:
+            u = t if positive else _DUAL[t]
+            if t is And or t is Or:
+                out = u(*[nnf(p, positive) for p in f.parts])
+            else:
+                out = u(f.fixed, nnf(f.body, positive))
+            memo[positive][id(f)] = out
+        return out
 
-    def neg(f: Formula) -> Formula:
-        if isinstance(f, Not):
-            return pos(f.body)
-        if isinstance(f, And):
-            return Or(*map(neg, f.parts))
-        if isinstance(f, Or):
-            return And(*map(neg, f.parts))
-        if isinstance(f, Forall):
-            return Exists(f.fixed, neg(f.body))
-        if isinstance(f, Exists):
-            return Forall(f.fixed, neg(f.body))
-        return negate_atom(f, omega)
+    return nnf(phi, True)
 
-    return pos(phi)
+
+_DUAL = {And: Or, Or: And, Forall: Exists, Exists: Forall}
 
 
 # ---------------------------------------------------------------------------
@@ -496,27 +503,28 @@ _SUGAR_GLOBALS = {
 }
 
 
-class _Parser:
-    def __init__(self, text: str, ftype: FiniteType):
+class _Scanner:
+    """The tokens of a text, each with its position, and the cursor that a
+    recursive-descent parser moves over them.  ``token_re`` matches one
+    token in its first group; syntax errors are raised as ``error``."""
+
+    def __init__(self, text: str, token_re: re.Pattern, error: type[Exception]):
         self.text = text
-        self.ftype = ftype
+        self.error_type = error
         self.tokens: list[tuple[str, int]] = []
         pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                if text[pos:].strip():
-                    raise FormulaError(
-                        f"syntax error at position {pos}: unexpected {text[pos]!r}"
-                    )
+        for m in token_re.finditer(text):
+            if m.start() != pos:
                 break
             self.tokens.append((m.group(1), m.start(1)))
             pos = m.end()
+        if text[pos:].strip():
+            raise error(f"syntax error at position {pos}: unexpected {text[pos]!r}")
         self.i = 0
 
-    def error(self, msg: str) -> FormulaError:
+    def error(self, msg: str) -> Exception:
         at = self.tokens[self.i][1] if self.i < len(self.tokens) else len(self.text)
-        return FormulaError(f"syntax error at position {at}: {msg}")
+        return self.error_type(f"syntax error at position {at}: {msg}")
 
     def peek(self) -> str | None:
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -532,6 +540,16 @@ class _Parser:
         got = self.next()
         if got != tok:
             raise self.error(f"expected {tok!r}, got {got!r}")
+
+    def expect_end(self):
+        if self.i < len(self.tokens):
+            raise self.error(f"trailing input {self.peek()!r}")
+
+
+class _Parser(_Scanner):
+    def __init__(self, text: str, ftype: FiniteType):
+        super().__init__(text, _TOKEN_RE, FormulaError)
+        self.ftype = ftype
 
     def var(self) -> str:
         tok = self.next()
@@ -674,8 +692,7 @@ def parse_formula(text: str, ftype: FiniteType) -> Formula:
     """Parse ``text`` into a validated formula over ``ftype``."""
     p = _Parser(text, ftype)
     f = p.phi()
-    if p.peek() is not None:
-        raise p.error(f"trailing input {p.peek()!r}")
+    p.expect_end()
     validate(f, ftype)
     return f
 

@@ -184,7 +184,7 @@ def test_criterion_5_bisimulation_suite():
 
     def guarded_holds(model):
         srm = build_standard_relational_model(model, probe)
-        point = Const(srm.name_of(0))
+        point = Const(srm.row_names[0])
         t = Var("t")
         psi = FOForall(
             ("t",),
@@ -277,13 +277,12 @@ def _random_matrix(rng, monadics):
 
 
 def _find_skolem(psi, structure):
-    from teamlogic.reduce import _matrix_holds
-
+    matrix = standard_translation(psi.matrix, psi.matrix_type())
     f = {}
     for a in structure.universe:
         for b in structure.universe:
             if all(
-                _matrix_holds(psi, structure, a, b, c)
+                eval_fo(matrix, structure, {"x": a, "y": b, "z": c})
                 for c in structure.universe
             ):
                 f[a] = b
@@ -390,11 +389,16 @@ def _random_fo_literal(rng, vs):
 
 
 def _random_fo_matrix(rng, vs, size):
+    """``size`` literals under junctions of two to ``size`` parts; a part
+    may be a junction of the same kind."""
     if size <= 1:
         return _random_fo_literal(rng, vs)
-    left = _random_fo_matrix(rng, vs, size // 2)
-    right = _random_fo_matrix(rng, vs, size - size // 2)
-    return FOAnd(left, right) if rng.random() < 0.5 else FOOr(left, right)
+    cuts = sorted(rng.sample(range(1, size), rng.randint(1, size - 1)))
+    parts = [
+        _random_fo_matrix(rng, vs, b - a)
+        for a, b in zip([0, *cuts], [*cuts, size])
+    ]
+    return FOAnd(*parts) if rng.random() < 0.5 else FOOr(*parts)
 
 
 def _fo_to_team(psi, ftype):
@@ -403,9 +407,9 @@ def _fo_to_team(psi, ftype):
     if isinstance(psi, FONot):
         return RelLit(False, psi.body.rel, tuple(t.name for t in psi.body.args))
     if isinstance(psi, FOAnd):
-        return And(_fo_to_team(psi.left, ftype), _fo_to_team(psi.right, ftype))
+        return And(*(_fo_to_team(p, ftype) for p in psi.parts))
     if isinstance(psi, FOOr):
-        return Or(_fo_to_team(psi.left, ftype), _fo_to_team(psi.right, ftype))
+        return Or(*(_fo_to_team(p, ftype) for p in psi.parts))
     if isinstance(psi, (FOExists, FOForall)):
         (x,) = psi.vars
         rest = ftype.varset(v for v in ftype.variables if v != x)

@@ -22,7 +22,7 @@ from teamlogic import (
     quantifier_rank,
     refine_step,
 )
-from teamlogic.bisim import BisimRelation, atom_truth_table
+from teamlogic.bisim import BisimRelation
 from teamlogic.syntax import LFD, LFD_EQ, Incl
 
 
@@ -229,12 +229,19 @@ def test_failure_witnesses_replay():
     assert seen["forth"] and seen["back"]
 
 
+def _truth_table(model, atoms):
+    """Per team row, the truth vector of the atoms."""
+    ev = Evaluator(model)
+    cols = [ev.truth_rows(a) for a in atoms]
+    return [tuple(col[i] for col in cols) for i in range(len(model.team))]
+
+
 def _naive_chain(left, right, omega, depth):
     """The relation ``bisimilarity`` should end on: stage 0 from the atom
     truth tables, then :func:`gen.naive_refine` until ``depth`` rounds or
     until a round keeps the relation."""
     atoms = canonical_atoms(left.ftype, omega)
-    lt, rt = atom_truth_table(left, atoms), atom_truth_table(right, atoms)
+    lt, rt = _truth_table(left, atoms), _truth_table(right, atoms)
     Z = BisimRelation(
         frozenset(
             (i, j)

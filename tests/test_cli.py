@@ -254,18 +254,45 @@ def test_bad_input_exits_2(argv, dm_path, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("op", [" & ", " | "], ids=["conjuncts", "disjuncts"])
-def test_long_flat_junction_is_checked(op, dm_path, capsys):
+def test_long_flat_junction_is_checked(op, dm_path, tmp_path, capsys):
     """100,000 atoms joined by one connective parse, convert to NNF and
     check through main() without hitting the recursion limit, and the exit
-    code is the library's answer."""
+    code is the library's answer.  So do 20,000 of them through translate
+    in the standard and modal modes, and a first-order team definition of
+    100,000 parts through check --team-fo."""
     atoms = [Dep(("y",), "x"), Dep(("x",), "y")] * 50_000
     formula = op.join(map(print_formula, atoms))
     rc = main(["check", "--model", dm_path, "--formula", formula,
                "--at", "1 1 0"])
     assert "error" not in capsys.readouterr().err
     model = gen.ex_local_dep()
-    phi = conj(atoms) if op == " & " else disj(atoms)
-    assert rc == (0 if check(phi, model, ("1", "1", "0")).value else 1)
+    junction = conj if op == " & " else disj
+    assert rc == (0 if check(junction(atoms), model, ("1", "1", "0")).value else 1)
+
+    short = atoms[:20_000]
+    for mode, translate in (
+        ("standard", lambda phi: standard_translation(phi, model.ftype)),
+        ("modal", modal_translation),
+    ):
+        rc = main(["translate", "--mode", mode, "--model", dm_path,
+                   "--formula", op.join(map(print_formula, short))])
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, "")
+        assert out == print_fo(translate(junction(short))) + "\n"
+
+    path = tmp_path / "st.dm"
+    path.write_text("universe 0 1\nvars x y z\n")
+    parts = ["x = x", "~y = z"] if op == " & " else ["x = y", "y = z"]
+    team_fo = op.join(parts * 50_000)
+    rc = main(["check", "--model", str(path), "--formula", "D[y] x",
+               "--at", "0 0 1", "--team-fo", team_fo])
+    out, err = capsys.readouterr()
+    structure, ftype = load_model(path.read_text(), require_team=False)
+    team = materialize_fo_team(structure, ftype, parse_fo(team_fo, ftype.variables))
+    assert f"materialized team size: {len(team.model.team)}" in out
+    assert "free variable bound: 3" in out
+    value = check(Dep(("y",), "x"), team.model, ("0", "0", "1")).value
+    assert (rc, err) == (0 if value else 1, "")
 
 
 def test_unexpected_exception_exits_2(dm_path, monkeypatch, capsys):

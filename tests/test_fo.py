@@ -10,6 +10,7 @@ from teamlogic import (
     Evaluator,
     Excl,
     FiniteType,
+    FormulaError,
     Incl,
     OmegaProfile,
     TranslationError,
@@ -29,10 +30,14 @@ from teamlogic.fo import (
     FOExists,
     FOFalse,
     FOForall,
+    FOImplies,
     FONot,
+    FOOr,
     FORel,
     FOTrue,
     Var,
+    conj,
+    disj,
     free_variables,
     max_free_vars,
 )
@@ -60,6 +65,31 @@ def test_print_parse_fo_roundtrip(seed):
         f"z1_{v}" for v in model.ftype.variables
     } | {f"z2_{v}" for v in model.ftype.variables}
     assert parse_fo(print_fo(psi), names) == psi
+
+
+def test_fo_nested_junction_keeps_its_parentheses():
+    """A junction that is a part of one of the same kind prints in
+    parentheses and parses back as a part of its own; an unparenthesised
+    chain parses into one node."""
+    a, b, c = FORel("P", (Var("x"),)), FOEq(Var("x"), Var("y")), FONot(FOTrue())
+    cases = {
+        "(P(x) & x = y) & ~true": FOAnd(FOAnd(a, b), c),
+        "P(x) & (x = y & ~true)": FOAnd(a, FOAnd(b, c)),
+        "(P(x) | x = y) | ~true": FOOr(FOOr(a, b), c),
+        "P(x) | (x = y | ~true)": FOOr(a, FOOr(b, c)),
+        "P(x) & x = y & ~true": FOAnd(a, b, c),
+        "P(x) | x = y & ~true | P(x)": FOOr(a, FOAnd(b, c), a),
+        "(P(x) | x = y) & ~true -> P(x)": FOImplies(FOAnd(FOOr(a, b), c), a),
+        "forall x . (P(x) & x = y) & P(x)": FOAnd(FOForall(("x",), FOAnd(a, b)), a),
+    }
+    for text, psi in cases.items():
+        assert print_fo(psi) == text
+        assert parse_fo(text, ("x", "y")) == psi
+    for junction in (FOAnd, FOOr):
+        with pytest.raises(FormulaError):
+            junction(a)
+    assert (conj([]), disj([]), conj([a]), disj([a])) == (FOTrue(), FOFalse(), a, a)
+    assert conj([a, b, c]) == FOAnd(a, b, c) and disj([a, b]) == FOOr(a, b)
 
 
 def test_eval_fo_basics():
@@ -155,7 +185,7 @@ def test_modal_translation_agrees_with_checker(seed):
     psi = modal_translation(phi)
     team_truth = _team_truth(phi, model)
     for i in range(len(model.team)):
-        env = {"w0": srm.name_of(i)}
+        env = {"w0": srm.row_names[i]}
         assert eval_fo(psi, srm.structure, env) == team_truth[i]
 
 

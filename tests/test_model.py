@@ -16,7 +16,6 @@ from teamlogic import (
     full_team,
     load_model,
     materialize_fo_team,
-    project,
     variable_distinguished,
 )
 from teamlogic import fo
@@ -100,22 +99,19 @@ def test_row_helpers():
     model = gen.ex_local_dep()
     s = ("1", "2", "1")
     assert model.row_index(s) == 2
-    assert model.value(s, "y") == "2"
+    assert model.values(s, ("y",)) == ("2",)
     assert model.values(s, ("z", "x")) == ("1", "1")
-    assert model.agree(s, ("2", "2", "1"), ("z",))
-    assert not model.agree(s, ("2", "2", "1"), ("x", "z"))
-    with pytest.raises(ModelError):
-        model.row_index(("9", "9", "9"))
-
-
-def test_project():
-    model = gen.ex_local_dep()
-    assert project(model, ("x",)) == {("0",), ("1",), ("2",)}
-    assert project(model, ("y", "z")) == {
+    # the value sets of variable tuples over the team
+    assert {model.values(t, ("x",)) for t in model.team} == {("0",), ("1",), ("2",)}
+    assert {model.values(t, ("y", "z")) for t in model.team} == {
         ("0", "0"),
         ("1", "0"),
         ("2", "1"),
     }
+    assert model.agree(s, ("2", "2", "1"), ("z",))
+    assert not model.agree(s, ("2", "2", "1"), ("x", "z"))
+    with pytest.raises(ModelError):
+        model.row_index(("9", "9", "9"))
 
 
 def test_full_team():
@@ -132,7 +128,7 @@ def test_variable_distinguished_columns_disjoint(seed):
     model = gen.random_model(random.Random(seed))
     vd, mapping = variable_distinguished(model)
     vs = vd.ftype.variables
-    cols = [project(vd, (v,)) for v in vs]
+    cols = [{vd.values(row, (v,)) for row in vd.team} for v in vs]
     for i in range(len(cols)):
         for j in range(i + 1, len(cols)):
             assert not (cols[i] & cols[j])

@@ -155,8 +155,9 @@ def test_printer_long_chains():
 
 
 def test_is_nnf_on_shared_dag():
-    """is_nnf, validate, free_vars, quantifier_rank and infer_omega visit
-    each node object once: 64 levels of And(f, f) have 2^64 tree nodes."""
+    """is_nnf, validate, free_vars, quantifier_rank, infer_omega and to_nnf
+    visit each node object once: 64 levels of And(f, f) have 2^64 tree
+    nodes.  to_nnf keeps the sharing."""
     bottom = Eq("x", "x")
     f, g = bottom, Not(bottom)
     for _ in range(64):
@@ -167,6 +168,10 @@ def test_is_nnf_on_shared_dag():
         assert not is_nnf(h)
     model = gen.ex_local_dep()
     assert check(f, model, model.team[0]).value
+    for h, value in ((g, False), (Not(f), False), (Not(g), True)):
+        nnf = to_nnf(h)
+        assert is_nnf(nnf) and nnf.parts[0] is nnf.parts[1]
+        assert check(nnf, model, model.team[0]).value is value
     top = Or(Exists(("y",), g), Dep(("x",), "y"))
     validate(top, FT)
     assert free_vars(top) == {"x", "y"}
