@@ -101,17 +101,21 @@ def test_row_helpers():
     assert model.row_index(s) == 2
     assert model.values(s, ("y",)) == ("2",)
     assert model.values(s, ("z", "x")) == ("1", "1")
+    assert model.agree(s, ("2", "2", "1"), ("z",))
+    assert not model.agree(s, ("2", "2", "1"), ("x", "z"))
+    with pytest.raises(ModelError):
+        model.row_index(("9", "9", "9"))
+
+
+def test_project():
     # the value sets of variable tuples over the team
+    model = gen.ex_local_dep()
     assert {model.values(t, ("x",)) for t in model.team} == {("0",), ("1",), ("2",)}
     assert {model.values(t, ("y", "z")) for t in model.team} == {
         ("0", "0"),
         ("1", "0"),
         ("2", "1"),
     }
-    assert model.agree(s, ("2", "2", "1"), ("z",))
-    assert not model.agree(s, ("2", "2", "1"), ("x", "z"))
-    with pytest.raises(ModelError):
-        model.row_index(("9", "9", "9"))
 
 
 def test_full_team():
