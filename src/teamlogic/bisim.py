@@ -5,7 +5,9 @@ Two teams of one type make a multi-relational Kripke model over the rows of
 both, whose relations are the agreement equivalences ~X for the variable
 sets X.  Bisimilarity is computed on one partition of these rows, left rows
 first.  Stage 0 groups the rows by their truth vector on a finite canonical
-atom family.  The stage-(k+1) signature of a row is its stage-k class
+atom family: the relational atoms, then, for each dual pair of
+``syntax.ATOM_PAIRS`` in turn, the atoms of the pair's enabled kinds over
+one argument family per pair.  The stage-(k+1) signature of a row is its stage-k class
 together with, for every X, the set of stage-k classes in its X-block of
 its own team, and rows with equal signatures share a class.  A left and a
 right row are k-bisimilar exactly when they share a stage-k class: equal
@@ -24,24 +26,13 @@ from typing import Iterable, Union
 from .checker import Evaluator
 from .model import Assignment, DependenceModel, ModelError, PointedModel
 from .syntax import (
-    Anon,
+    ATOM_PAIRS,
     Dep,
     Eq,
-    Excl,
     FiniteType,
     Formula,
     Incl,
     Ind,
-    KIND_D,
-    KIND_EQ,
-    KIND_IN,
-    KIND_IND,
-    KIND_NEQ,
-    KIND_NIND,
-    KIND_NOTIN,
-    KIND_Y,
-    Neq,
-    NInd,
     OmegaProfile,
     RelLit,
 )
@@ -89,33 +80,25 @@ def canonical_atoms(ftype: FiniteType, omega: OmegaProfile) -> list[Formula]:
     for rel, ar in ftype.relations:
         for args in product(vs, repeat=ar):
             atoms.append(RelLit(True, rel, args))
-    subsets = [
-        tuple(c)
-        for r in range(len(vs) + 1)
-        for c in combinations(vs, r)
-    ]
-    if KIND_D in omega:
-        atoms.extend(Dep(X, y) for X in subsets for y in vs)
-    if KIND_Y in omega:
-        atoms.extend(Anon(X, y) for X in subsets for y in vs)
-    if KIND_EQ in omega:
-        atoms.extend(Eq(x, y) for x, y in combinations(vs, 2))
-    if KIND_NEQ in omega:
-        atoms.extend(Neq(x, y) for x, y in combinations(vs, 2))
     tuple_pairs = [
         (xs, ys)
         for r in range(1, len(vs) + 1)
         for xs in permutations(vs, r)
         for ys in permutations(vs, r)
     ]
-    if KIND_IN in omega:
-        atoms.extend(Incl(xs, ys) for xs, ys in tuple_pairs)
-    if KIND_NOTIN in omega:
-        atoms.extend(Excl(xs, ys) for xs, ys in tuple_pairs)
-    if KIND_IND in omega:
-        atoms.extend(Ind(xs, ys) for xs, ys in tuple_pairs)
-    if KIND_NIND in omega:
-        atoms.extend(NInd(xs, ys) for xs, ys in tuple_pairs)
+    # the arguments of the atoms of each dual pair, keyed by its first atom
+    family = {
+        Dep: [
+            (X, y) for r in range(len(vs) + 1) for X in combinations(vs, r) for y in vs
+        ],
+        Eq: list(combinations(vs, 2)),
+        Incl: tuple_pairs,
+        Ind: tuple_pairs,
+    }
+    for pair in ATOM_PAIRS:
+        for cls in pair:
+            if cls.kind in omega:
+                atoms.extend(cls(*args) for args in family[pair[0]])
     return atoms
 
 

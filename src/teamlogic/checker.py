@@ -30,8 +30,6 @@ from .syntax import (
     FormulaError,
     Incl,
     Ind,
-    Neq,
-    NInd,
     Not,
     Or,
     RelLit,
@@ -139,7 +137,7 @@ class Evaluator:
             m = self._atoms.get(phi)
             if m is None:
                 m = self._atom(phi)
-                if isinstance(phi, (Neq, Anon, Excl, NInd)):
+                if phi.negative:
                     m ^= self.full
                 self._atoms[phi] = m
         elif isinstance(phi, Not):
@@ -151,26 +149,27 @@ class Evaluator:
 
     def _atom(self, beta: Formula) -> int:
         """The bitset of a relational literal or a local atom, except that
-        Y, !=, notin and nInd get the bitset of their duals D, =, in and
-        Ind, which :meth:`mask` complements.  Each atom is decided once
-        per distinct value of the projections it reads."""
+        a negative atom gets the bitset of its dual, which :meth:`mask`
+        complements.  Each atom is decided once per distinct value of the
+        projections it reads."""
         index = self.model.ftype.index
-        if isinstance(beta, RelLit):
+        t = beta.dual if beta.negative else type(beta)
+        if t is RelLit:
             part = self._partition(tuple(map(index, beta.args)))
             holds, rel = self.model.structure.holds, beta.rel
             return sum(b for k, b in part.items() if holds(rel, k) == beta.positive)
-        if isinstance(beta, (Eq, Neq)):
+        if t is Eq:
             part = self._partition((index(beta.left), index(beta.right)))
             return sum(b for (u, v), b in part.items() if u == v)
-        if isinstance(beta, (Dep, Anon)):
+        if t is Dep:
             # an X-block is constant on y iff it is also an (X + y)-block
             finer = set(self.blocks(beta.over + (beta.target,)).values())
             return sum(b for b in self.blocks(beta.over).values() if b in finer)
-        if isinstance(beta, (Incl, Excl)):
+        if t is Incl:
             values = self._partition(tuple(map(index, beta.right)))
             left = self._partition(tuple(map(index, beta.left)))
             return sum(b for key, b in left.items() if key in values)
-        # Ind / NInd: an l-block must realise every r-value of the team
+        # Ind: an l-block must realise every r-value of the team
         lc, rc = self._cols(beta.left), self._cols(beta.right)
         per_left = Counter(key[: len(lc)] for key in self._partition(lc + rc))
         want = len(self._partition(rc))

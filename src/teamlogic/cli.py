@@ -29,7 +29,6 @@ from .model import (
     variable_distinguished,
 )
 from .syntax import (
-    ALL_KINDS,
     FormulaError,
     OmegaProfile,
     infer_omega,
@@ -69,11 +68,7 @@ def _emit(text: str, out_path: str | None) -> None:
 def _parse_omega(spec: str | None) -> OmegaProfile | None:
     if spec is None:
         return None
-    kinds = frozenset(spec.replace(",", " ").split())
-    bad = kinds - ALL_KINDS
-    if bad:
-        raise CliError(f"unknown atom kinds: {sorted(bad)}")
-    return OmegaProfile(kinds)
+    return OmegaProfile(frozenset(spec.replace(",", " ").split()))
 
 
 def _parse_at(spec: str) -> tuple[str, ...]:

@@ -24,7 +24,6 @@ from typing import Iterable, Mapping, Union
 
 from .syntax import (
     And,
-    Anon,
     Dep,
     Eq,
     Excl,
@@ -35,8 +34,6 @@ from .syntax import (
     FormulaError,
     Incl,
     Ind,
-    Neq,
-    NInd,
     Not,
     Or,
     RelLit,
@@ -185,6 +182,21 @@ def _free(psi: FOFormula, widths: list[int]) -> frozenset[str]:
     return out
 
 
+def constants(psi: FOFormula) -> frozenset[str]:
+    """The element constants occurring in ``psi``."""
+    t = type(psi)
+    if t is FORel or t is FOEq:
+        terms = psi.args if t is FORel else (psi.left, psi.right)
+        return frozenset([a.token for a in terms if type(a) is Const])
+    if t is FOAnd or t is FOOr:
+        return frozenset().union(*map(constants, psi.parts))
+    if t is FOImplies:
+        return constants(psi.left) | constants(psi.right)
+    if t is FONot or t is FOForall or t is FOExists:
+        return constants(psi.body)
+    return frozenset()
+
+
 # ---------------------------------------------------------------------------
 # Tarski evaluation
 
@@ -329,7 +341,11 @@ class _FOParser(_Scanner):
             while self.peek() != ".":
                 names.append(self.next())
             self.next()
+            # the bound names are variables inside the body
+            outer = self.variables
+            self.variables = outer.union(names)
             body = self.unit()
+            self.variables = outer
             ctor = FOForall if tok == "forall" else FOExists
             return ctor(tuple(names), body)
         if tok == "true":
@@ -357,8 +373,9 @@ class _FOParser(_Scanner):
 
 
 def parse_fo(text: str, variables: Iterable[str]) -> FOFormula:
-    """Parse a first-order formula.  Identifiers in ``variables`` become
-    variables; any other identifier is an element constant."""
+    """Parse a first-order formula.  Identifiers in ``variables``, and
+    names bound by an enclosing quantifier, become variables; any other
+    identifier is an element constant."""
     p = _FOParser(text, frozenset(variables))
     f = p.fo()
     p.expect_end()
@@ -371,18 +388,11 @@ def parse_fo(text: str, variables: Iterable[str]) -> FOFormula:
 TEAM = "T"
 
 
-def _team_atom(args: Iterable[Term], team_symbol: str) -> FORel:
-    return FORel(team_symbol, tuple(args))
-
-
-def standard_translation(
-    phi: Formula, ftype: FiniteType, team_symbol: str = TEAM
-) -> FOFormula:
+def standard_translation(phi: Formula, ftype: FiniteType) -> FOFormula:
     """Compositional translation relativizing quantifiers to the team
     predicate.  The result has free variables among the type's variables
     and is evaluated at the current assignment's value tuple."""
     vs = ftype.variables
-    n = len(vs)
     z1 = tuple(f"z1_{v}" for v in vs)
     z2 = tuple(f"z2_{v}" for v in vs)
 
@@ -390,26 +400,24 @@ def standard_translation(
         if isinstance(f, RelLit):
             atom = FORel(f.rel, tuple(Var(a) for a in f.args))
             return atom if f.positive else FONot(atom)
-        if isinstance(f, Eq):
-            return FOEq(Var(f.left), Var(f.right))
-        if isinstance(f, Neq):
-            return FONot(FOEq(Var(f.left), Var(f.right)))
-        if isinstance(f, (Dep, Anon)):
-            out = _tr_dep(f.over, f.target)
-            return out if isinstance(f, Dep) else FONot(out)
-        if isinstance(f, (Incl, Excl)):
-            out = _tr_incl(f.left, f.right)
-            return out if isinstance(f, Incl) else FONot(out)
-        if isinstance(f, (Ind, NInd)):
-            out = _tr_ind(f.left, f.right)
-            return out if isinstance(f, Ind) else FONot(out)
+        if f.kind is not None:
+            pos = f.dual if f.negative else type(f)
+            if pos is Eq:
+                out = FOEq(Var(f.left), Var(f.right))
+            elif pos is Dep:
+                out = _tr_dep(f.over, f.target)
+            elif pos is Incl:
+                out = _tr_incl(f.left, f.right)
+            else:
+                out = _tr_ind(f.left, f.right)
+            return FONot(out) if f.negative else out
         if isinstance(f, And):
             return conj(map(tr, f.parts))
         if isinstance(f, Or):
             return disj(map(tr, f.parts))
         if isinstance(f, (Forall, Exists)):
             rest = tuple(v for v in vs if v not in f.fixed)
-            guard = _team_atom((Var(v) for v in vs), team_symbol)
+            guard = FORel(TEAM, tuple(Var(v) for v in vs))
             if isinstance(f, Forall):
                 return FOForall(rest, FOImplies(guard, tr(f.body)))
             return FOExists(rest, FOAnd(guard, tr(f.body)))
@@ -428,7 +436,7 @@ def standard_translation(
             z for v, z in zip(vs, z1) if v not in fixed
         ) + tuple(z for v, z in zip(vs, z2) if v not in fixed)
         body = FOImplies(
-            FOAnd(_team_atom(row1, team_symbol), _team_atom(row2, team_symbol)),
+            FOAnd(FORel(TEAM, row1), FORel(TEAM, row2)),
             FOEq(row1[j], row2[j]),
         )
         if not quantified:
@@ -439,9 +447,7 @@ def standard_translation(
         eqs = [
             FOEq(Var(z1[ftype.index(y)]), Var(x)) for x, y in zip(left, right)
         ]
-        return FOExists(
-            z1, FOAnd(_team_atom((Var(z) for z in z1), team_symbol), conj(eqs))
-        )
+        return FOExists(z1, FOAnd(FORel(TEAM, tuple(map(Var, z1))), conj(eqs)))
 
     def _tr_ind(left: tuple[str, ...], right: tuple[str, ...]) -> FOFormula:
         keep_current = [
@@ -453,21 +459,14 @@ def standard_translation(
         ]
         inner = FOExists(
             z2,
-            FOAnd(
-                _team_atom((Var(z) for z in z2), team_symbol),
-                conj(keep_current + keep_witness),
-            ),
+            FOAnd(FORel(TEAM, tuple(map(Var, z2))), conj(keep_current + keep_witness)),
         )
-        return FOForall(
-            z1, FOImplies(_team_atom((Var(z) for z in z1), team_symbol), inner)
-        )
+        return FOForall(z1, FOImplies(FORel(TEAM, tuple(map(Var, z1))), inner))
 
     return tr(phi)
 
 
-def guarded_translation(
-    beta: Formula, ftype: FiniteType, team_symbol: str = TEAM
-) -> FOFormula:
+def guarded_translation(beta: Formula, ftype: FiniteType) -> FOFormula:
     """Team-guarded form of the inclusion and exclusion atoms: substitute
     the left tuple into the right tuple's positions of a team atom and
     quantify only the remaining positions."""
@@ -489,7 +488,7 @@ def guarded_translation(
         Var(subst[i]) if i in subst else Var(z) for i, z in enumerate(zs)
     )
     quantified = tuple(z for i, z in enumerate(zs) if i not in subst)
-    guard = _team_atom(row, team_symbol)
+    guard = FORel(TEAM, row)
     if isinstance(beta, Incl):
         body = FOAnd(guard, conj(extra_eqs)) if extra_eqs else guard
         return FOExists(quantified, body) if quantified else body
@@ -551,7 +550,7 @@ def build_standard_relational_model(model, phi: Formula) -> StandardRelationalMo
     return StandardRelationalModel(Structure(names, relations), names)
 
 
-def modal_translation(phi: Formula, state_var: str = "w0") -> FOFormula:
+def modal_translation(phi: Formula) -> FOFormula:
     """Translation into the modal vocabulary of agreement relations and
     monadic predicates, with one free state variable.
 
@@ -572,37 +571,37 @@ def modal_translation(phi: Formula, state_var: str = "w0") -> FOFormula:
         if isinstance(f, RelLit):
             atom = FORel(_monadic(f.rel, f.args), (Var(cur),))
             return atom if f.positive else FONot(atom)
-        if isinstance(f, (Dep, Anon)):
+        if f.kind is not None:
+            pos = f.dual if f.negative else type(f)
             t = fresh(depth + 1)
-            out = FOForall(
-                (t,),
-                FOImplies(
-                    conj(agree(t, cur, f.over)),
-                    FORel(_sim(f.target), (Var(t), Var(cur))),
-                ),
-            )
-            return out if isinstance(f, Dep) else FONot(out)
-        if isinstance(f, (Ind, NInd)):
-            t = fresh(depth + 1)
-            u = fresh(depth + 2)
-            out = FOForall(
-                (t,),
-                FOExists(
-                    (u,),
-                    # prints as a1 & ... & (b1 & ...): the agreement on the
-                    # left tuple joins the conjunction, the one on the right
-                    # stays a part of its own
-                    FOAnd(
-                        *agree(cur, u, dict.fromkeys(f.left)),
-                        conj(agree(u, t, dict.fromkeys(f.right))),
+            if pos is Dep:
+                out = FOForall(
+                    (t,),
+                    FOImplies(
+                        conj(agree(t, cur, f.over)),
+                        FORel(_sim(f.target), (Var(t), Var(cur))),
                     ),
-                ),
-            )
-            return out if isinstance(f, Ind) else FONot(out)
-        if isinstance(f, (Eq, Neq, Incl, Excl)):
-            raise TranslationError(
-                f"{type(f).__name__} atom is not in the modal fragment"
-            )
+                )
+            elif pos is Ind:
+                u = fresh(depth + 2)
+                out = FOForall(
+                    (t,),
+                    FOExists(
+                        (u,),
+                        # prints as a1 & ... & (b1 & ...): the agreement on
+                        # the left tuple joins the conjunction, the one on
+                        # the right stays a part of its own
+                        FOAnd(
+                            *agree(cur, u, dict.fromkeys(f.left)),
+                            conj(agree(u, t, dict.fromkeys(f.right))),
+                        ),
+                    ),
+                )
+            else:
+                raise TranslationError(
+                    f"{type(f).__name__} atom is not in the modal fragment"
+                )
+            return FONot(out) if f.negative else out
         if isinstance(f, And):
             return conj(tr(p, cur, depth) for p in f.parts)
         if isinstance(f, Or):
@@ -617,4 +616,4 @@ def modal_translation(phi: Formula, state_var: str = "w0") -> FOFormula:
             raise TranslationError("translation requires a Not-free formula")
         raise TranslationError(f"unknown formula node {type(f).__name__}")
 
-    return tr(phi, state_var, 0)
+    return tr(phi, "w0", 0)

@@ -271,12 +271,13 @@ def disjoint_union(a: DependenceModel, b: DependenceModel) -> DependenceModel:
     return DependenceModel(a.ftype, Structure(universe, relations), team)
 
 
-def expand(model: DependenceModel, team_symbol: str = "T") -> Structure:
-    """The structure over the vocabulary extended by a team predicate."""
-    if model.ftype.has_relation(team_symbol):
-        raise ModelError(f"vocabulary already contains {team_symbol!r}")
+def expand(model: DependenceModel) -> Structure:
+    """The structure over the vocabulary extended by the team predicate
+    ``fo.TEAM``."""
+    if model.ftype.has_relation(fo.TEAM):
+        raise ModelError(f"vocabulary already contains {fo.TEAM!r}")
     relations = dict(model.structure.relations)
-    relations[team_symbol] = frozenset(model.team)
+    relations[fo.TEAM] = frozenset(model.team)
     return Structure(model.structure.universe, relations)
 
 
@@ -306,6 +307,9 @@ def materialize_fo_team(
     extra = free - set(ftype.variables)
     if extra:
         raise ModelError(f"team formula has unexpected free variables {sorted(extra)}")
+    unknown = fo.constants(team_formula) - set(structure.universe)
+    if unknown:
+        raise ModelError(f"team formula mentions unknown element {min(unknown)!r}")
     team = []
     for row in product(structure.universe, repeat=len(ftype.variables)):
         env = dict(zip(ftype.variables, row))

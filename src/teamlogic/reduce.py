@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from . import fo
 from .checker import Evaluator
@@ -179,10 +179,22 @@ def kahr_fo_sentence(psi: KahrSentence) -> fo.FOFormula:
     return fo.FOForall(("x",), fo.FOExists(("y",), fo.FOForall(("z",), matrix)))
 
 
-def _matrix_holds(
-    matrix: fo.FOFormula, structure: Structure, a: str, b: str, c: str
-) -> bool:
-    return fo.eval_fo(matrix, structure, {"x": a, "y": b, "z": c})
+def _check_matrix_rows(
+    psi: KahrSentence,
+    structure: Structure,
+    f: Mapping[str, str],
+    elements: Sequence[str],
+    failure: str,
+) -> None:
+    """Raise ``failure`` at the first (a, f(a), b), for a and b in
+    ``elements``, at which the matrix is false.  The matrix is evaluated
+    once, over the team of these triples."""
+    team = tuple((a, f[a], b) for a in elements for b in elements)
+    model = DependenceModel(psi.matrix_type(), structure, team)
+    holds = Evaluator(model).mask(psi.matrix)
+    for i, (a, b, c) in enumerate(team):
+        if not holds >> i & 1:
+            raise ReduceError(f"{failure} at ({a!r},{b!r},{c!r})")
 
 
 def witness_model(
@@ -197,13 +209,7 @@ def witness_model(
     for a in A:
         if a not in f or f[a] not in set(A):
             raise ReduceError(f"skolem table not total at {a!r}")
-    matrix = fo.standard_translation(psi.matrix, psi.matrix_type())
-    for a in A:
-        for b in A:
-            if not _matrix_holds(matrix, structure, a, f[a], b):
-                raise ReduceError(
-                    f"skolem verification failed: matrix false at ({a!r},{f[a]!r},{b!r})"
-                )
+    _check_matrix_rows(psi, structure, f, A, "skolem verification failed: matrix false")
     size = len(A) ** 3
     if size > max_team:
         raise ReduceError(f"witness team would have {size} rows, cap is {max_team}")
@@ -262,13 +268,7 @@ def extract_classical_model(
         for name, rows in model.structure.relations.items()
     }
     restricted = Structure(tuple(orbit), relations)
-    matrix = fo.standard_translation(psi.matrix, psi.matrix_type())
-    for a in orbit:
-        for b in orbit:
-            if not _matrix_holds(matrix, restricted, a, f[a], b):
-                raise ReduceError(
-                    f"extracted model fails the matrix at ({a!r},{f[a]!r},{b!r})"
-                )
+    _check_matrix_rows(psi, restricted, f, orbit, "extracted model fails the matrix")
     return ExtractedModel(restricted, {a: f[a] for a in orbit})
 
 
@@ -288,9 +288,7 @@ def rewrite_vd(phi: Formula, ftype: FiniteType) -> Formula:
     def rw(f: Formula):
         if isinstance(f, (RelLit, Dep, Anon)):
             return f
-        if isinstance(f, Neq):
-            return _TOP if f.left != f.right else _BOT
-        if isinstance(f, Excl):
+        if isinstance(f, (Neq, Excl)):
             return _TOP if f.left != f.right else _BOT
         if isinstance(f, (And, Or)):
             # a junction's zero decides it, and its unit parts drop out

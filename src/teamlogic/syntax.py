@@ -10,6 +10,14 @@ the parser collects an unparenthesised chain ``a & b & c`` into one node,
 so a chain of any length is one level deep.  A parenthesised junction
 stays a part of its own, which keeps ``parse(print(phi)) == phi`` exact.
 
+The local atoms come in four dual pairs, listed once in
+:data:`ATOM_PAIRS`: dependence/anonymity, equality/inequality,
+inclusion/exclusion and independence/non-independence.  Each atom class
+carries its profile label and printed token (``kind``), the class of its
+negation (``dual``) and whether it is the pair's complemented member
+(``negative``); the profile labels, the parser, the printer,
+:func:`negate_atom` and the other modules read the pairs from there.
+
 ``Not`` is a sugar node: it may appear in parsed formulas but every
 downstream consumer (checker, translations, bisimulation) requires the
 Not-free form produced by :func:`to_nnf`.
@@ -27,7 +35,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 
 class FormulaError(Exception):
@@ -80,9 +88,18 @@ class FiniteType:
 
 
 class Formula:
-    """Base class for formula nodes."""
+    """Base class for formula nodes.
+
+    A local atom class sets three class attributes, which are not
+    dataclass fields: ``kind``, its profile label and printed token;
+    ``dual``, the class of its negation; and ``negative``, true for the
+    member of a dual pair whose truth is the complement of the other's.
+    Other nodes keep the defaults."""
 
     __slots__ = ()
+    kind: str | None = None
+    dual: type | None = None
+    negative = False
 
 
 @dataclass(frozen=True)
@@ -96,12 +113,14 @@ class RelLit(Formula):
 
 @dataclass(frozen=True)
 class Eq(Formula):
+    kind = "="
     left: str
     right: str
 
 
 @dataclass(frozen=True)
 class Neq(Formula):
+    kind = "!="
     left: str
     right: str
 
@@ -111,6 +130,7 @@ class Dep(Formula):
     """Local dependence: fixing the values of ``over`` at the current
     assignment fixes the value of ``target``."""
 
+    kind = "D"
     over: tuple[str, ...]
     target: str
 
@@ -119,6 +139,7 @@ class Dep(Formula):
 class Anon(Formula):
     """Local anonymity, the negation of local dependence."""
 
+    kind = "Y"
     over: tuple[str, ...]
     target: str
 
@@ -128,12 +149,14 @@ class Incl(Formula):
     """Local inclusion: the current values of ``left`` occur as values of
     ``right`` somewhere in the team."""
 
+    kind = "in"
     left: tuple[str, ...]
     right: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class Excl(Formula):
+    kind = "notin"
     left: tuple[str, ...]
     right: tuple[str, ...]
 
@@ -143,14 +166,24 @@ class Ind(Formula):
     """Local independence: the current values of ``left`` do not constrain
     the values of ``right``."""
 
+    kind = "Ind"
     left: tuple[str, ...]
     right: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class NInd(Formula):
+    kind = "nInd"
     left: tuple[str, ...]
     right: tuple[str, ...]
+
+
+#: The local atoms, in dual pairs: the second atom of a pair is the
+#: negation of the first, and its truth is the complement of the first's.
+ATOM_PAIRS = ((Dep, Anon), (Eq, Neq), (Incl, Excl), (Ind, NInd))
+
+for _pos, _neg in ATOM_PAIRS:
+    _pos.dual, _neg.dual, _neg.negative = _neg, _pos, True
 
 
 class _Junction:
@@ -243,51 +276,17 @@ def _postorder(phi: Formula) -> list[Formula]:
     return out
 
 
-LocalAtom = Union[RelLit, Eq, Neq, Dep, Anon, Incl, Excl, Ind, NInd]
-
-ATOM_TYPES = (RelLit, Eq, Neq, Dep, Anon, Incl, Excl, Ind, NInd)
+ATOM_TYPES = (RelLit,) + sum(ATOM_PAIRS, ())
 
 #: Atom kind labels used by OmegaProfile.
-KIND_D = "D"
-KIND_Y = "Y"
-KIND_EQ = "="
-KIND_NEQ = "!="
-KIND_IN = "in"
-KIND_NOTIN = "notin"
-KIND_IND = "Ind"
-KIND_NIND = "nInd"
+KIND_D, KIND_Y = Dep.kind, Anon.kind
+KIND_EQ, KIND_NEQ = Eq.kind, Neq.kind
+KIND_IN, KIND_NOTIN = Incl.kind, Excl.kind
+KIND_IND, KIND_NIND = Ind.kind, NInd.kind
 
-ALL_KINDS = frozenset(
-    {KIND_D, KIND_Y, KIND_EQ, KIND_NEQ, KIND_IN, KIND_NOTIN, KIND_IND, KIND_NIND}
-)
+ALL_KINDS = frozenset(cls.kind for pair in ATOM_PAIRS for cls in pair)
 
-DUAL_KIND = {
-    KIND_D: KIND_Y,
-    KIND_Y: KIND_D,
-    KIND_EQ: KIND_NEQ,
-    KIND_NEQ: KIND_EQ,
-    KIND_IN: KIND_NOTIN,
-    KIND_NOTIN: KIND_IN,
-    KIND_IND: KIND_NIND,
-    KIND_NIND: KIND_IND,
-}
-
-_KIND_OF = {
-    Dep: KIND_D,
-    Anon: KIND_Y,
-    Eq: KIND_EQ,
-    Neq: KIND_NEQ,
-    Incl: KIND_IN,
-    Excl: KIND_NOTIN,
-    Ind: KIND_IND,
-    NInd: KIND_NIND,
-}
-
-
-def atom_kind(phi: Formula) -> str | None:
-    """The profile label of a local atom, or None for relational literals
-    and non-atoms."""
-    return _KIND_OF.get(type(phi))
+DUAL_KIND = {cls.kind: cls.dual.kind for pair in ATOM_PAIRS for cls in pair}
 
 
 @dataclass(frozen=True)
@@ -326,7 +325,7 @@ LFD_EQ = OmegaProfile.of(KIND_D, KIND_Y, KIND_EQ, KIND_NEQ)
 
 def infer_omega(phi: Formula) -> OmegaProfile:
     """The smallest profile covering the local atoms occurring in ``phi``."""
-    kinds = {atom_kind(f) for f in _postorder(phi)}
+    kinds = {f.kind for f in _postorder(phi)}
     kinds.discard(None)
     return OmegaProfile(frozenset(kinds))
 
@@ -430,27 +429,13 @@ def negate_atom(phi: Formula, omega: OmegaProfile) -> Formula:
     """The dual atom, checked against the profile."""
     if isinstance(phi, RelLit):
         return RelLit(not phi.positive, phi.rel, phi.args)
-    kind = atom_kind(phi)
-    dual = DUAL_KIND[kind]
-    if dual not in omega:
-        raise FormulaError(f"dual atom kind {dual!r} not enabled in profile")
-    if isinstance(phi, Dep):
-        return Anon(phi.over, phi.target)
-    if isinstance(phi, Anon):
-        return Dep(phi.over, phi.target)
-    if isinstance(phi, Eq):
-        return Neq(phi.left, phi.right)
-    if isinstance(phi, Neq):
-        return Eq(phi.left, phi.right)
-    if isinstance(phi, Incl):
-        return Excl(phi.left, phi.right)
-    if isinstance(phi, Excl):
-        return Incl(phi.left, phi.right)
-    if isinstance(phi, Ind):
-        return NInd(phi.left, phi.right)
-    if isinstance(phi, NInd):
-        return Ind(phi.left, phi.right)
-    raise FormulaError(f"cannot negate {type(phi).__name__}")
+    dual = phi.dual
+    if dual is None:
+        raise FormulaError(f"cannot negate {type(phi).__name__}")
+    if dual.kind not in omega:
+        raise FormulaError(f"dual atom kind {dual.kind!r} not enabled in profile")
+    # the two atoms of a pair have the same fields, in the same order
+    return dual(*vars(phi).values())
 
 
 def to_nnf(phi: Formula, omega: OmegaProfile | None = None) -> Formula:
@@ -494,13 +479,10 @@ _DUAL = {And: Or, Or: And, Forall: Exists, Exists: Forall}
 
 _TOKEN_RE = re.compile(r"\s*(!=|[()\[\];&|=!]|[A-Za-z0-9_']+)")
 
-_SUGAR_GLOBALS = {
-    "dep": "D",
-    "anon": "Y",
-    "incl": "in",
-    "excl": "notin",
-    "indep": "Ind",
-}
+#: the global atoms, written ``dep(x ; y)`` and so on: ``A[]`` of a local atom
+_SUGAR_GLOBALS = {"dep": Dep, "anon": Anon, "incl": Incl, "excl": Excl, "indep": Ind}
+
+_ATOM_CLASS = {cls.kind: cls for pair in ATOM_PAIRS for cls in pair}
 
 
 class _Scanner:
@@ -621,46 +603,33 @@ class _Parser(_Scanner):
 
     def atom(self) -> Formula:
         tok = self.peek()
-        if tok in ("D", "Y") and self.lookahead("["):
+        cls = _ATOM_CLASS.get(tok)
+        if cls in (Dep, Anon, Ind, NInd) and self.lookahead("["):
             self.next()
             self.next()
             xs = self.vars_until("]")
             self.next()
-            y = self.var()
-            over = self.ftype.varset(xs)
-            return Dep(over, y) if tok == "D" else Anon(over, y)
-        if tok in ("Ind", "nInd") and self.lookahead("["):
-            self.next()
-            self.next()
-            xs = self.vars_until("]")
-            self.next()
+            if cls in (Dep, Anon):
+                return cls(self.ftype.varset(xs), self.var())
             self.expect("(")
             ys = self.vars_until(")")
             self.next()
-            return self.tuple_atom(Ind if tok == "Ind" else NInd, xs, ys)
-        if tok in ("in", "notin") and self.lookahead("("):
+            return self.tuple_atom(cls, xs, ys)
+        glob = _SUGAR_GLOBALS.get(tok)
+        if (glob or cls in (Incl, Excl)) and self.lookahead("("):
             self.next()
             self.next()
             xs = self.vars_until(";")
             self.next()
             ys = self.vars_until(")")
             self.next()
-            return self.tuple_atom(Incl if tok == "in" else Excl, xs, ys)
-        if tok in _SUGAR_GLOBALS and self.lookahead("("):
-            self.next()
-            self.next()
-            xs = self.vars_until(";")
-            self.next()
-            ys = self.vars_until(")")
-            self.next()
-            kind = _SUGAR_GLOBALS[tok]
-            if kind in ("D", "Y"):
+            if glob is None:
+                return self.tuple_atom(cls, xs, ys)
+            if glob in (Dep, Anon):
                 if len(ys) != 1:
                     raise self.error(f"{tok} expects a single target variable")
-                ctor = Dep if kind == "D" else Anon
-                return Forall((), ctor(self.ftype.varset(xs), ys[0]))
-            ctor = {"in": Incl, "notin": Excl, "Ind": Ind}[kind]
-            return Forall((), self.tuple_atom(ctor, xs, ys))
+                return Forall((), glob(self.ftype.varset(xs), ys[0]))
+            return Forall((), self.tuple_atom(glob, xs, ys))
         name = self.next()
         if self.peek() == "(":
             if not self.ftype.has_relation(name):
@@ -672,10 +641,9 @@ class _Parser(_Scanner):
         if name not in self.ftype.variables:
             raise self.error(f"unknown relation or variable {name!r}")
         op = self.next()
-        if op == "=":
-            return Eq(name, self.var())
-        if op == "!=":
-            return Neq(name, self.var())
+        cls = _ATOM_CLASS.get(op)
+        if cls is Eq or cls is Neq:
+            return cls(name, self.var())
         raise self.error(f"expected '=' or '!=', got {op!r}")
 
     def tuple_atom(self, ctor, xs: list[str], ys: list[str]) -> Formula:
@@ -766,12 +734,10 @@ def _plan(phi: Formula, text: dict[int, str]):
 
 _ATOM_TEXT = {
     RelLit: lambda f: f"{'' if f.positive else '!'}{f.rel}({' '.join(f.args)})",
-    Eq: lambda f: f"{f.left} = {f.right}",
-    Neq: lambda f: f"{f.left} != {f.right}",
-    Dep: lambda f: f"D[{' '.join(f.over)}] {f.target}",
-    Anon: lambda f: f"Y[{' '.join(f.over)}] {f.target}",
-    Incl: lambda f: f"in({' '.join(f.left)} ; {' '.join(f.right)})",
-    Excl: lambda f: f"notin({' '.join(f.left)} ; {' '.join(f.right)})",
-    Ind: lambda f: f"Ind[{' '.join(f.left)}]({' '.join(f.right)})",
-    NInd: lambda f: f"nInd[{' '.join(f.left)}]({' '.join(f.right)})",
+    Dep: lambda f: f"{f.kind}[{' '.join(f.over)}] {f.target}",
+    Eq: lambda f: f"{f.left} {f.kind} {f.right}",
+    Incl: lambda f: f"{f.kind}({' '.join(f.left)} ; {' '.join(f.right)})",
+    Ind: lambda f: f"{f.kind}[{' '.join(f.left)}]({' '.join(f.right)})",
 }
+# the second atom of a pair prints as the first, with its own token
+_ATOM_TEXT.update({neg: _ATOM_TEXT[pos] for pos, neg in ATOM_PAIRS})

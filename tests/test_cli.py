@@ -98,6 +98,23 @@ def test_check_fo_team_bound_warning(tmp_path, capsys):
     assert "warning" in captured.err
 
 
+def test_check_fo_team_bound_names_and_constants(tmp_path, capsys):
+    """A name bound by an FO quantifier is a variable inside its body, and
+    an element constant outside the universe is an error naming it."""
+    path = tmp_path / "st.dm"
+    path.write_text("universe 0 1\nvars x y\nrel R 2\n0 1\nend\n")
+    for bound in ("u", "y"):
+        rc = main(["check", "--model", str(path), "--formula", "D[] x",
+                   "--at", "0 1", "--team-fo", f"exists {bound} . R(x {bound})"])
+        assert rc == 0
+        assert "materialized team size: 2" in capsys.readouterr().out
+    for team_fo in ("~(x = 7)", "x = x | R(7 y)"):
+        rc = main(["check", "--model", str(path), "--formula", "D[] x",
+                   "--at", "0 1", "--team-fo", team_fo])
+        assert rc == 2
+        assert "unknown element '7'" in capsys.readouterr().err
+
+
 def test_check_fo_team_conflicts_with_team_block(dm_path):
     assert main(["check", "--model", dm_path, "--formula", "D[y] x",
                  "--at", "1 1 0", "--team-fo", "x = y"]) == 2

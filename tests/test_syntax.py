@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from teamlogic import (
     And,
     Anon,
     Dep,
+    Evaluator,
     Eq,
     Excl,
     Exists,
@@ -21,6 +23,7 @@ from teamlogic import (
     OmegaProfile,
     Or,
     RelLit,
+    canonical_atoms,
     char_formula_all,
     check,
     free_vars,
@@ -34,6 +37,7 @@ from teamlogic import (
     validate,
 )
 from teamlogic.syntax import LFD, LFD_EQ, KIND_D, KIND_IND, KIND_Y, conj, disj
+from teamlogic.syntax import ATOM_PAIRS
 
 
 FT = FiniteType((("P", 1), ("E", 2)), ("x", "y", "z"))
@@ -231,7 +235,36 @@ def test_negate_atom_respects_profile():
     with pytest.raises(FormulaError):
         negate_atom(Ind(("x",), ("y",)), LFD)
     with pytest.raises(FormulaError):
+        negate_atom(And(Dep((), "x"), Anon((), "x")), LFD)
+    with pytest.raises(FormulaError):
         to_nnf(Not(Dep((), "x")), OmegaProfile.of(KIND_D))
+
+
+def test_atom_pairs_table():
+    """The duals of a pair point at each other and its second atom is the
+    negative one; every atom prints with its kind token, parses back,
+    negates twice to itself, and its mask and its dual's split the team."""
+    full = OmegaProfile.full()
+    covered = set()
+    for seed in range(6):
+        model = gen.random_model(random.Random(seed))
+        ev = Evaluator(model)
+        for pair in ATOM_PAIRS:
+            assert [cls.negative for cls in pair] == [False, True]
+            for cls in pair:
+                assert cls.dual.dual is cls
+                for atom in canonical_atoms(model.ftype, OmegaProfile.of(cls.kind)):
+                    if type(atom) is not cls:
+                        continue
+                    covered.add(cls)
+                    text = print_formula(atom)
+                    assert cls.kind in re.findall(r"!=|=|\w+", text)
+                    assert parse_formula(text, model.ftype) == atom
+                    dual = negate_atom(atom, full)
+                    assert type(dual) is cls.dual
+                    assert negate_atom(dual, full) == atom
+                    assert ev.mask(atom) ^ ev.mask(dual) == ev.full
+    assert covered == set(sum(ATOM_PAIRS, ()))
 
 
 def test_omega_profiles():
